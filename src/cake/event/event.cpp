@@ -73,18 +73,6 @@ void EventImage::assign_view(wire::Reader& r) {
   read_from(r, /*borrow_values=*/true);
 }
 
-EventImage EventImage::to_owned() const {
-  EventImage owned;
-  owned.type_id_ = type_id_;
-  owned.type_name_ = type_name_;
-  owned.attributes_.reserve(attributes_.size());
-  for (const auto& attr : attributes_)
-    owned.attributes_.push_back(
-        ImageAttribute{symbol::Symbol{attr.id, attr.name}, attr.value.to_owned()});
-  owned.opaque_ = opaque_;
-  return owned;
-}
-
 std::string EventImage::to_string() const {
   std::ostringstream os;
   os << '(' << "class, \"" << type_name_ << "\")";

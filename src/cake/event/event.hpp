@@ -91,7 +91,8 @@ struct ImageAttribute {
 /// (borrowed views, never owned copies). Attribute *values* are owned by
 /// default; `assign_view` produces a borrowed image whose string values
 /// point into the inbound packet buffer — valid only while that buffer
-/// lives. Call `to_owned()` before storing such an image.
+/// lives. Never store such an image: keep the refcounted frame it was
+/// viewed from instead, and view it again when needed.
 class EventImage {
 public:
   EventImage() = default;
@@ -126,9 +127,6 @@ public:
   /// buffer (`Reader::value_view`). The zero-allocation broker decode mode;
   /// the image must not outlive the buffer (DESIGN.md §9).
   void assign_view(wire::Reader& r);
-
-  /// Deep copy with every borrowed value materialized as owned.
-  [[nodiscard]] EventImage to_owned() const;
 
   [[nodiscard]] std::string to_string() const;
   [[nodiscard]] bool operator==(const EventImage&) const = default;

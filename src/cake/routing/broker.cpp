@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <type_traits>
 
 namespace cake::routing {
 
@@ -203,42 +202,21 @@ filter::ConjunctiveFilter Broker::weaken_for(const filter::ConjunctiveFilter& f,
 }
 
 void Broker::on_packet(sim::NodeId from, const sim::Network::Payload& payload) {
-  if (config_.borrowed_decode && packet_class(payload) == kEventPacketClass) {
-    // Steady-state fast path: match straight over the inbound frame, no
-    // owning decode, no Packet variant (DESIGN.md §9).
-    try {
-      handle_event_frame(from, payload);
-    } catch (const wire::WireError&) {
-      ++stats_.malformed_packets;
-    }
-    return;
-  }
   Packet packet;
   try {
+    if (packet_class(payload) == kEventPacketClass) {
+      // Events match straight over the inbound frame: no owning decode, no
+      // Packet variant (DESIGN.md §9).
+      handle_event_frame(from, payload);
+      return;
+    }
     packet = decode(payload);
   } catch (const wire::WireError&) {
     ++stats_.malformed_packets;  // corrupt frame: drop, never crash a node
     return;
   }
-  if (!std::holds_alternative<EventMsg>(packet)) {
-    ++stats_.control_received;
-  } else if (journal_ != nullptr && !replaying_) {
-    // The owning-decode arm (borrowed_decode off) journals here; the fast
-    // path journals inside handle_event_frame, after frame validation.
-    journal_->append_event(payload);
-    ++stats_.events_journaled;
-  }
-  std::visit(
-      [this, from](auto&& msg) {
-        // Only the event path cares who sent the packet (trace spans link
-        // hops through the sender); control handlers keep their arity.
-        if constexpr (std::is_same_v<std::decay_t<decltype(msg)>, EventMsg>) {
-          handle(std::move(msg), from);
-        } else {
-          handle(std::move(msg));
-        }
-      },
-      std::move(packet));
+  ++stats_.control_received;
+  std::visit([this](auto&& msg) { handle(std::move(msg)); }, std::move(packet));
 }
 
 void Broker::handle(Advertise&& msg) {
@@ -446,28 +424,27 @@ void Broker::handle(Resume&& msg) {
       replay_range_to(msg.child, cur->second);
       journal_->append_cursor_clear(msg.child);
       durable_cursor_.erase(cur);
-      const sim::Time expires = transport_.now() + 3 * config_.ttl;
-      for (auto& [fid, entry] : entries_) {
-        for (auto& lease : entry.leases) {
-          if (lease.child == msg.child &&
-              lease.expires == std::numeric_limits<sim::Time>::max())
-            lease.expires = expires;
-        }
-      }
+      thaw_durable_leases(msg.child);
       return;
     }
   }
   const auto it = detached_.find(msg.child);
   if (it == detached_.end()) return;
-  for (event::EventImage& image : it->second) {
-    send(msg.child, EventMsg{std::move(image)});
+  // The buffered frames go out exactly as live forwards would: same bytes,
+  // same credit and quarantine path.
+  for (const sim::Network::Payload& frame : it->second) {
+    forward_event(msg.child, frame);
     ++stats_.events_replayed;
   }
   detached_.erase(it);
+  thaw_durable_leases(msg.child);
+}
+
+void Broker::thaw_durable_leases(sim::NodeId child) {
   const sim::Time expires = transport_.now() + 3 * config_.ttl;
   for (auto& [fid, entry] : entries_) {
     for (auto& lease : entry.leases) {
-      if (lease.child == msg.child &&
+      if (lease.child == child &&
           lease.expires == std::numeric_limits<sim::Time>::max())
         lease.expires = expires;
     }
@@ -483,49 +460,20 @@ bool Broker::has_durable_lease(sim::NodeId child) const {
   return false;
 }
 
-void Broker::handle(EventMsg&& msg, sim::NodeId from) {
-  ++stats_.events_received;
-  index_->match(msg.image, match_scratch_, scratch_);
-  target_scratch_.clear();
-  for (const index::FilterId fid : match_scratch_) {
-    const Entry& entry = entries_.at(fid);
-    for (const auto& lease : entry.leases) target_scratch_.push_back(lease.child);
-  }
-  std::sort(target_scratch_.begin(), target_scratch_.end());
-  target_scratch_.erase(
-      std::unique(target_scratch_.begin(), target_scratch_.end()),
-      target_scratch_.end());
-  if (tracer_ != nullptr && msg.trace_id != 0)
-    emit_trace_span(msg.trace_id, msg.image, from, !target_scratch_.empty());
-  if (target_scratch_.empty()) return;
-  ++stats_.events_matched;
-  for (const sim::NodeId target : target_scratch_) {
-    if (const auto buffer = detached_.find(target); buffer != detached_.end()) {
-      if (journal_ != nullptr) {
-        ++stats_.events_buffered;  // served from the log on Resume
-        continue;
-      }
-      if (buffer->second.size() >= config_.durable_buffer_limit) {
-        buffer->second.pop_front();  // bound memory: drop the oldest
-        ++stats_.buffer_overflows;
-      }
-      buffer->second.push_back(msg.image);
-      ++stats_.events_buffered;
-      continue;
-    }
-    forward_event(target, encode(msg));
-    ++stats_.events_forwarded;
-  }
+Broker::EventHeader Broker::view_event(const sim::Network::Payload& payload) {
+  wire::Reader r{wire::unframe(payload)};
+  (void)r.u8();      // tag, already classified by packet_class
+  (void)r.varint();  // published_at: travels in the frame, never read here
+  EventHeader header;
+  header.event_id = r.varint();
+  header.trace_id = r.varint();
+  image_scratch_.assign_view(r);  // borrows names and strings from `payload`
+  return header;
 }
 
 void Broker::handle_event_frame(sim::NodeId from,
                                 const sim::Network::Payload& payload) {
-  wire::Reader r{wire::unframe(payload)};
-  r.u8();  // tag, already peeked by packet_class
-  const sim::Time published_at = r.varint();
-  const std::uint64_t event_id = r.varint();
-  const std::uint64_t trace_id = r.varint();
-  image_scratch_.assign_view(r);  // borrows names and strings from `payload`
+  const EventHeader header = view_event(payload);
 
   // Journal the inbound frame *before* matching: the bytes already exist
   // (refcounted frame), so durability is one append of them — and a crash
@@ -537,7 +485,36 @@ void Broker::handle_event_frame(sim::NodeId from,
   }
 
   ++stats_.events_received;
-  index_->match(image_scratch_, match_scratch_, scratch_);
+  if (!fan_out(payload, image_scratch_, from, header.trace_id)) {
+    if (chaos_debug())
+      std::fprintf(stderr, "[dbg] t=%llu broker=%u event=%llu NO-MATCH from=%u\n",
+                   (unsigned long long)transport_.now(), (unsigned)id_,
+                   (unsigned long long)header.event_id, (unsigned)from);
+    if (config_.match_grace > 0) park_unmatched(payload);
+    return;
+  }
+  // Recovery-window relay: a restarted broker's table can be *permanently*
+  // missing leases for subscribers that re-homed elsewhere while it was
+  // down — a frame that partially matches here forwards past the pen and
+  // silently skips them. While the window is open, hand a copy back to the
+  // parent to re-match against a healthy table; subscriber dedup absorbs
+  // the paths that already delivered, and the shared bounce budget stops a
+  // stale parent lease from ping-ponging the frame.
+  if (journal_ != nullptr && !replaying_ && parent_ != sim::kNoNode &&
+      transport_.now() < recovery_until_ &&
+      take_bounce_budget(header.event_id)) {
+    if (chaos_debug())
+      std::fprintf(stderr, "[dbg] t=%llu broker=%u RECOVERY-RELAY %llu\n",
+                   (unsigned long long)transport_.now(), (unsigned)id_,
+                   (unsigned long long)header.event_id);
+    link_.send_event(parent_, payload);
+  }
+}
+
+bool Broker::fan_out(const sim::Network::Payload& payload,
+                     const event::EventImage& image, sim::NodeId from,
+                     std::uint64_t trace_id) {
+  index_->match(image, match_scratch_, scratch_);
   target_scratch_.clear();
   for (const index::FilterId fid : match_scratch_) {
     const Entry& entry = entries_.at(fid);
@@ -548,57 +525,27 @@ void Broker::handle_event_frame(sim::NodeId from,
       std::unique(target_scratch_.begin(), target_scratch_.end()),
       target_scratch_.end());
   if (tracer_ != nullptr && trace_id != 0)
-    emit_trace_span(trace_id, image_scratch_, from, !target_scratch_.empty());
-  if (target_scratch_.empty()) {
-    if (chaos_debug())
-      std::fprintf(stderr, "[dbg] t=%llu broker=%u event=%llu NO-MATCH from=%u\n",
-                   (unsigned long long)transport_.now(), (unsigned)id_,
-                   (unsigned long long)event_id, (unsigned)from);
-    if (config_.match_grace > 0) park_unmatched(payload);
-    return;
-  }
+    emit_trace_span(trace_id, image, from, !target_scratch_.empty());
+  if (target_scratch_.empty()) return false;
   ++stats_.events_matched;
   for (const sim::NodeId target : target_scratch_) {
-    if (const auto buffer = detached_.find(target); buffer != detached_.end()) {
-      if (journal_ != nullptr) {
-        // The frame is already in the journal; the detached subscriber's
-        // cursor replay serves it on Resume. No copy, no bounded buffer.
-        ++stats_.events_buffered;
-        continue;
-      }
-      // Never pass borrowed views into a buffer that outlives the frame:
-      // durable buffering takes an owning deep copy (§9 exclusion rule).
-      if (buffer->second.size() >= config_.durable_buffer_limit) {
-        buffer->second.pop_front();  // bound memory: drop the oldest
-        ++stats_.buffer_overflows;
-      }
-      buffer->second.push_back(image_scratch_.to_owned());
-      ++stats_.events_buffered;
+    const auto buffer = detached_.find(target);
+    if (buffer == detached_.end()) {
+      forward_event(target, payload);  // refcount copy, zero bytes moved
+      ++stats_.events_forwarded;
       continue;
     }
-    if (config_.forward == ForwardMode::PassThrough) {
-      forward_event(target, payload);  // refcount copy, zero bytes moved
-    } else {
-      forward_event(target, encode_event_frame(image_scratch_, published_at,
-                                               event_id, trace_id));
+    ++stats_.events_buffered;
+    // With a journal the frame is already logged; the detached subscriber's
+    // cursor replay serves it on Resume. No bounded buffer needed.
+    if (journal_ != nullptr) continue;
+    if (buffer->second.size() >= config_.durable_buffer_limit) {
+      buffer->second.pop_front();  // bound memory: drop the oldest
+      ++stats_.buffer_overflows;
     }
-    ++stats_.events_forwarded;
+    buffer->second.push_back(payload);
   }
-  // Recovery-window relay: a restarted broker's table can be *permanently*
-  // missing leases for subscribers that re-homed elsewhere while it was
-  // down — a frame that partially matches here forwards past the pen and
-  // silently skips them. While the window is open, hand a copy back to the
-  // parent to re-match against a healthy table; subscriber dedup absorbs
-  // the paths that already delivered, and the shared bounce budget stops a
-  // stale parent lease from ping-ponging the frame.
-  if (journal_ != nullptr && !replaying_ && parent_ != sim::kNoNode &&
-      transport_.now() < recovery_until_ && take_bounce_budget(event_id)) {
-    if (chaos_debug())
-      std::fprintf(stderr, "[dbg] t=%llu broker=%u RECOVERY-RELAY %llu\n",
-                   (unsigned long long)transport_.now(), (unsigned)id_,
-                   (unsigned long long)event_id);
-    link_.send_event(parent_, payload);
-  }
+  return true;
 }
 
 void Broker::emit_trace_span(std::uint64_t trace_id,
@@ -677,12 +624,10 @@ void Broker::resync_active() {
 }
 
 void Broker::send(sim::NodeId to, const Packet& packet) {
-  // Events are the sheddable link class; everything else is control and is
-  // never shed (losing a ReqInsert costs whole TTLs of soft-state repair).
-  if (std::holds_alternative<EventMsg>(packet))
-    link_.send_event(to, encode(packet));
-  else
-    link_.send_control(to, encode(packet));
+  // Brokers originate control traffic only (events leave through
+  // forward_event), and control is never shed: losing a ReqInsert costs
+  // whole TTLs of soft-state repair.
+  link_.send_control(to, encode(packet));
 }
 
 void Broker::send_join_at(sim::NodeId subscriber, sim::NodeId target,
@@ -853,58 +798,15 @@ void Broker::pen_tick(std::uint64_t epoch) {
   const sim::Time now = transport_.now();
   std::deque<Parked> keep;
   for (Parked& parked : pen_) {
-    bool rescued = false;
     std::uint64_t event_id = 0;
     try {
-      wire::Reader r{wire::unframe(parked.payload)};
-      (void)r.u8();
-      const sim::Time published_at = r.varint();
-      event_id = r.varint();
-      const std::uint64_t trace_id = r.varint();
-      image_scratch_.assign_view(r);
-      index_->match(image_scratch_, match_scratch_, scratch_);
-      target_scratch_.clear();
-      for (const index::FilterId fid : match_scratch_) {
-        const Entry& entry = entries_.at(fid);
-        for (const auto& lease : entry.leases)
-          target_scratch_.push_back(lease.child);
-      }
-      std::sort(target_scratch_.begin(), target_scratch_.end());
-      target_scratch_.erase(
-          std::unique(target_scratch_.begin(), target_scratch_.end()),
-          target_scratch_.end());
-      if (!target_scratch_.empty()) {
-        rescued = true;
-        ++stats_.events_rescued;
-        ++stats_.events_matched;
-        for (const sim::NodeId target : target_scratch_) {
-          if (const auto buffer = detached_.find(target);
-              buffer != detached_.end()) {
-            if (journal_ != nullptr) {
-              ++stats_.events_buffered;  // served from the log on Resume
-              continue;
-            }
-            if (buffer->second.size() >= config_.durable_buffer_limit) {
-              buffer->second.pop_front();
-              ++stats_.buffer_overflows;
-            }
-            buffer->second.push_back(image_scratch_.to_owned());
-            ++stats_.events_buffered;
-            continue;
-          }
-          if (config_.forward == ForwardMode::PassThrough) {
-            forward_event(target, parked.payload);
-          } else {
-            forward_event(target,
-                          encode_event_frame(image_scratch_, published_at,
-                                             event_id, trace_id));
-          }
-          ++stats_.events_forwarded;
-        }
-      }
+      event_id = view_event(parked.payload).event_id;
     } catch (const wire::WireError&) {
       continue;  // cannot happen for a frame that decoded once; drop it
     }
+    // Rescues are untraced: the hop's span was emitted on arrival.
+    const bool rescued = fan_out(parked.payload, image_scratch_, id_, 0);
+    if (rescued) ++stats_.events_rescued;
     if (!rescued && now - parked.parked_at < config_.match_grace) {
       keep.push_back(std::move(parked));
       continue;
@@ -1113,12 +1015,7 @@ void Broker::replay_range_to(sim::NodeId child, std::uint64_t from) {
     const sim::Network::Payload payload{
         std::vector<std::byte>{rec.payload.begin(), rec.payload.end()}};
     try {
-      wire::Reader r{wire::unframe(payload)};
-      (void)r.u8();      // tag
-      (void)r.varint();  // published_at
-      (void)r.varint();  // event_id
-      (void)r.varint();  // trace_id
-      image_scratch_.assign_view(r);
+      (void)view_event(payload);
       index_->match(image_scratch_, match_scratch_, scratch_);
       bool hit = false;
       for (const index::FilterId fid : match_scratch_) {

@@ -47,12 +47,6 @@ enum class Placement {
   Random,          ///< locality baseline of §4.2: random descent, no search
 };
 
-/// How a broker emits a matched event toward each child (DESIGN.md §9).
-enum class ForwardMode {
-  Reencode,     ///< serialize a fresh frame per forward (pre-§9 behaviour)
-  PassThrough,  ///< fan out the inbound refcounted frame unchanged
-};
-
 struct BrokerConfig {
   /// Lease bookkeeping (virtual microseconds). An entry lives for
   /// 3 × `ttl` past its last renewal; renewals run every `renew_interval`;
@@ -72,17 +66,10 @@ struct BrokerConfig {
   /// of weakened forms under covering (g1 covers f1 ⇒ only g1 travels).
   /// Sound either way; on = fewer filters and renewals above this node.
   bool covering_collapse = false;
-  /// Events buffered per detached durable subscriber before the oldest are
-  /// dropped (§2.1 storing events for temporarily disconnected subscribers).
+  /// Event frames buffered per detached durable subscriber before the
+  /// oldest are dropped (§2.1 storing events for temporarily disconnected
+  /// subscribers).
   std::size_t durable_buffer_limit = 1024;
-  /// Decode inbound EventMsg frames in place (string_views borrowed from the
-  /// packet buffer) instead of through the generic owning decoder. Off = the
-  /// allocation-heavy baseline, kept for A14's before/after arms.
-  bool borrowed_decode = true;
-  /// Pass-through is sound because the stored image is hop-invariant: every
-  /// hop forwards exactly the bytes the publisher framed (trace ids, event
-  /// ids and published_at all travel inside the frame, never per-hop).
-  ForwardMode forward = ForwardMode::PassThrough;
   index::Engine engine = index::Engine::Naive;
   /// Online subscription aggregation (DESIGN.md §13). When enabled, the
   /// filter table groups mutually-covered child filters under one merged
@@ -302,7 +289,9 @@ private:
   void handle(Expired&&) {}  // subscriber-bound; ignored at brokers
   void handle(Detach&& msg);
   void handle(Resume&& msg);
-  void handle(EventMsg&& msg, sim::NodeId from);
+  // Event frames never reach the Packet variant: on_packet routes them
+  // straight to handle_event_frame.
+  void handle(EventMsg&&) {}
   // Subscriber-bound messages are ignored if misrouted to a broker.
   void handle(JoinAt&&) {}
   void handle(AcceptedAt&&) {}
@@ -313,12 +302,29 @@ private:
   void handle(Heartbeat&&) {}
   void handle(Credit&&) {}
 
-  /// Zero-allocation event path (DESIGN.md §9): decodes the EventMsg frame
-  /// into `image_scratch_` with values borrowed from `payload`'s buffer,
-  /// matches, and fans the original frame (PassThrough) or a fresh
-  /// serialization (Reencode) to the matching children. Throws WireError on
-  /// corruption, like decode().
+  /// The event path (DESIGN.md §9): decodes the EventMsg frame into
+  /// `image_scratch_` with values borrowed from `payload`'s buffer,
+  /// journals it, and runs fan_out; parks a frame that matched nothing.
+  /// Throws WireError on corruption, like decode().
   void handle_event_frame(sim::NodeId from, const sim::Network::Payload& payload);
+  struct EventHeader {
+    std::uint64_t event_id = 0;
+    std::uint64_t trace_id = 0;
+  };
+  /// Reads an EventMsg frame's header and views its image into
+  /// `image_scratch_` (borrowed from `payload`, valid while it lives).
+  /// Throws WireError on corruption.
+  EventHeader view_event(const sim::Network::Payload& payload);
+  /// The one match-and-fan-out step (Fig. 6), shared by the live path and
+  /// the grace-pen rescue: matches `image` (a view of `payload`), emits the
+  /// hop's trace span when `trace_id` != 0, and sends the unchanged frame
+  /// to every matching child — into its detached durable buffer, or
+  /// through forward_event. Passing the frame through is sound because it
+  /// is hop-invariant: event id, published_at and trace id travel inside
+  /// it. Returns false when nothing matched.
+  bool fan_out(const sim::Network::Payload& payload,
+               const event::EventImage& image, sim::NodeId from,
+               std::uint64_t trace_id);
   void handle_wildcard(const Subscribe& msg);
   void insert_subscriber(const Subscribe& msg);
   /// Emits this hop's TraceSpan for a traced event (trace_id != 0):
@@ -331,6 +337,8 @@ private:
                      bool durable = false);
   /// True when `child` holds at least one durable lease here.
   [[nodiscard]] bool has_durable_lease(sim::NodeId child) const;
+  /// Resume: the durable leases frozen by Detach start expiring again.
+  void thaw_durable_leases(sim::NodeId child);
   void remove_entry(index::FilterId fid);
   /// Builds (or rebuilds, on restart) the matching engine: the configured
   /// engine directly, or an AggregatedIndex wrapping it when aggregation
@@ -456,8 +464,10 @@ private:
   std::unordered_map<filter::ConjunctiveFilter, std::size_t> needed_;  // refcounts
   std::unordered_set<filter::ConjunctiveFilter> active_;  // submitted upward
   util::StringMap<weaken::StageSchema> schemas_;
-  // Buffered events per detached durable subscriber, oldest first.
-  std::unordered_map<sim::NodeId, std::deque<event::EventImage>> detached_;
+  // Event frames per detached durable subscriber, oldest first. Frames are
+  // refcounted, so buffering is a pointer bump and Resume replays the very
+  // bytes the publisher framed (event id, published_at, trace id intact).
+  std::unordered_map<sim::NodeId, std::deque<sim::Network::Payload>> detached_;
   // Grace pen: zero-match frames awaiting a table heal, oldest first.
   // Payloads are refcounted, so parking is a pointer bump, not a copy.
   struct Parked {
@@ -492,8 +502,8 @@ private:
   index::MatchScratch scratch_;
   std::vector<index::FilterId> match_scratch_;
   std::vector<sim::NodeId> target_scratch_;
-  // Reused borrowed image for handle_event_frame; its string_views point
-  // into the payload being handled and die with the call.
+  // Reused borrowed image for view_event; its string_views point into the
+  // payload being handled and die with the call.
   event::EventImage image_scratch_;
 };
 

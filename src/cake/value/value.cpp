@@ -38,12 +38,6 @@ Kind Value::kind() const noexcept {
   return static_cast<Kind>(index);
 }
 
-Value Value::to_owned() const {
-  if (const auto* s = std::get_if<std::string_view>(&repr_))
-    return Value{std::string{*s}};
-  return *this;
-}
-
 std::optional<double> Value::as_number() const noexcept {
   switch (kind()) {
     case Kind::Int: return static_cast<double>(std::get<std::int64_t>(repr_));

@@ -57,11 +57,6 @@ public:
   /// True when this is a borrowed string (view into someone else's buffer).
   [[nodiscard]] bool is_borrowed() const noexcept { return repr_.index() == 5; }
 
-  /// Deep copy: borrowed strings become owned; everything else is copied
-  /// as-is. Use before storing a borrowed-decoded value past the lifetime
-  /// of its packet buffer.
-  [[nodiscard]] Value to_owned() const;
-
   /// Checked accessors; throw std::bad_variant_access on kind mismatch.
   [[nodiscard]] bool as_bool() const { return std::get<bool>(repr_); }
   [[nodiscard]] std::int64_t as_int() const { return std::get<std::int64_t>(repr_); }

@@ -241,8 +241,46 @@ TEST(Resilience, DuplicateAcceptsNeverDoubleDeliver) {
 
 // ---- durable subscriptions ---------------------------------------------------
 
-TEST(Durable, DetachBuffersAndResumeReplaysInOrder) {
-  Fx fx;
+// Detach/resume over both link policies. Replayed events must be the
+// frames the publisher built: a replay that lost its event id collapses
+// under the subscriber's event-id dedup (reliable links) or the composite
+// group dedup, and one that lost its published_at reports a latency longer
+// than the test has run.
+class DurableReplay : public ::testing::TestWithParam<link::Reliability> {
+protected:
+  static OverlayConfig config() {
+    OverlayConfig config = fast_ttl_config();
+    config.link.reliability = GetParam();
+    return config;
+  }
+
+  // Publishes "before", detaches, publishes three matching events and one
+  // that matches nothing, then resumes; returns the virtual time of the
+  // first publish.
+  static sim::Time detach_publish_resume(Fx& fx, routing::SubscriberNode& sub,
+                                         const std::vector<std::string>& titles) {
+    const sim::Time first_publish = fx.overlay.scheduler().now();
+    fx.publisher->publish(pub_event(2002, "ICDCS", "Eugster", "before"));
+    fx.overlay.run();
+
+    sub.detach();
+    fx.overlay.run();
+    EXPECT_TRUE(sub.detached());
+
+    for (const char* title : {"while-1", "while-2", "while-3"})
+      fx.publisher->publish(pub_event(2002, "ICDCS", "Eugster", title));
+    fx.publisher->publish(pub_event(1999, "X", "Y", "uninteresting"));
+    fx.overlay.run();
+    EXPECT_EQ(titles.size(), 1u);  // nothing delivered while detached
+
+    sub.resume();
+    fx.overlay.run();
+    return first_publish;
+  }
+};
+
+TEST_P(DurableReplay, DetachBuffersAndResumeReplaysInOrder) {
+  Fx fx{config()};
   auto& sub = fx.overlay.add_subscriber();
   std::vector<std::string> titles;
   sub.subscribe(FilterBuilder{"Publication"}
@@ -254,23 +292,11 @@ TEST(Durable, DetachBuffersAndResumeReplaysInOrder) {
                 {}, /*durable=*/true);
   fx.overlay.run();
 
-  fx.publisher->publish(pub_event(2002, "ICDCS", "Eugster", "before"));
-  fx.overlay.run();
-
-  sub.detach();
-  fx.overlay.run();
-  EXPECT_TRUE(sub.detached());
-
-  for (const char* title : {"while-1", "while-2", "while-3"})
-    fx.publisher->publish(pub_event(2002, "ICDCS", "Eugster", title));
-  fx.publisher->publish(pub_event(1999, "X", "Y", "uninteresting"));
-  fx.overlay.run();
-  EXPECT_EQ(titles.size(), 1u);  // nothing delivered while detached
-
-  sub.resume();
-  fx.overlay.run();
+  const sim::Time first_publish = detach_publish_resume(fx, sub, titles);
   EXPECT_EQ(titles, (std::vector<std::string>{"before", "while-1", "while-2",
                                               "while-3"}));
+  EXPECT_LT(sub.delivery_latency().max(),
+            static_cast<double>(fx.overlay.scheduler().now() - first_publish));
 
   fx.publisher->publish(pub_event(2002, "ICDCS", "Eugster", "after"));
   fx.overlay.run();
@@ -284,6 +310,37 @@ TEST(Durable, DetachBuffersAndResumeReplaysInOrder) {
     EXPECT_EQ(broker->stats().events_replayed, 3u);
   }
 }
+
+TEST_P(DurableReplay, CompositeDetachResumeReplaysInOrder) {
+  Fx fx{config()};
+  auto& sub = fx.overlay.add_subscriber();
+  std::vector<std::string> titles;
+  sub.subscribe_any(
+      {FilterBuilder{"Publication"}.where("year", Op::Eq, Value{2002}).build(),
+       FilterBuilder{"Publication"}
+           .where("conference", Op::Eq, Value{"ICDCS"})
+           .build()},
+      [&](const EventImage& e) {
+        titles.push_back(e.find("title")->as_string());
+      },
+      {}, /*durable=*/true);
+  fx.overlay.run();
+
+  const sim::Time first_publish = detach_publish_resume(fx, sub, titles);
+  EXPECT_EQ(titles, (std::vector<std::string>{"before", "while-1", "while-2",
+                                              "while-3"}));
+  EXPECT_LT(sub.delivery_latency().max(),
+            static_cast<double>(fx.overlay.scheduler().now() - first_publish));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Links, DurableReplay,
+    ::testing::Values(link::Reliability::BestEffort,
+                      link::Reliability::Reliable),
+    [](const auto& info) {
+      return info.param == link::Reliability::Reliable ? "Reliable"
+                                                       : "BestEffort";
+    });
 
 TEST(Durable, DetachedLeaseSurvivesBeyondTtl) {
   Fx fx;

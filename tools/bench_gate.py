@@ -3,8 +3,8 @@
 
 Reads the three benchmark artifacts the CI smoke lane produces —
 
-  BENCH_hotpath.json    (A14: per-arm events/sec + allocs/event + deliveries,
-                         plus the threaded pipeline arm)
+  BENCH_hotpath.json    (A14: passthrough arm events/sec + allocs/event +
+                         deliveries, plus the threaded pipeline arm)
   BENCH_threaded.json   (A16: pipeline events/sec per worker count)
   BENCH_overlay.json    (A19: broker overlay end-to-end on ThreadedTransport
                          — events/sec, delivered, allocs/event per worker
@@ -146,6 +146,17 @@ RULES = {
 }
 
 
+# Arms whose modes were deleted from the program. A cached baseline that
+# still lists one reports it as retired instead of "arm disappeared"; any
+# other arm that vanishes still fails. Keyed by artifact, then by the arm's
+# match key.
+RETIRED_ARMS = {
+    # A14's "before" arms: owning decode, per-forward re-encode and the
+    # buffer-pooling toggle, all removed from the broker and wire layers.
+    "BENCH_hotpath.json": {("baseline",), ("interned",), ("pooled",)},
+}
+
+
 def check_value(rule, label, base, cur):
     """Returns (ok, message) for one metric comparison."""
     metric = rule["metric"]
@@ -192,7 +203,11 @@ def compare_file(name, baseline, current):
                 cur_arm = cur_by_key.get(key)
                 label = "%s %s" % (name, "/".join(str(k) for k in key))
                 if cur_arm is None:
-                    yield False, "%s: arm disappeared" % label
+                    if key in RETIRED_ARMS.get(name, ()):
+                        yield True, "%s %s: arm retired" % (
+                            label, rule["metric"])
+                    else:
+                        yield False, "%s: arm disappeared" % label
                     continue
                 if rule["metric"] not in base_arm:
                     continue
@@ -280,6 +295,20 @@ def selftest():
          not all(ok for ok, _ in compare_file(
              "BENCH_hotpath.json", base,
              {"arms": [], "threaded": base["threaded"]}))),
+        ("retired arms pass",
+         all(ok for ok, _ in compare_file(
+             "BENCH_hotpath.json",
+             {"arms": base["arms"] + [
+                 dict(base["arms"][0], name=n)
+                 for n in ("baseline", "interned", "pooled")],
+              "threaded": base["threaded"]},
+             base))),
+        ("unlisted vanished arm still fails",
+         not all(ok for ok, _ in compare_file(
+             "BENCH_hotpath.json",
+             {"arms": base["arms"] + [dict(base["arms"][0], name="mystery")],
+              "threaded": base["threaded"]},
+             base))),
         ("absent section skips",
          all(ok for ok, _ in compare_file(
              "BENCH_hotpath.json", {"arms": base["arms"]},
@@ -311,6 +340,12 @@ def selftest():
          all(scaling_verdicts(churn_ops_per_sec=13500.0))),
         ("scaling soundness counter change fails",
          not all(scaling_verdicts(superset_violations=1))),
+        ("retired names apply to their own artifact only",
+         not all(ok for ok, _ in compare_file(
+             "BENCH_scaling.json",
+             {"arms": scaling["arms"] + [
+                 dict(scaling["arms"][0], name="pooled")]},
+             scaling))),
     ]
     overlay = {
         "arms": [
