@@ -8,6 +8,9 @@
 //     edge rather than per hop);
 //   * filter weakening and covering checks (the control-plane costs).
 //
+// The matching arms come in two populations: equality-heavy Biblio
+// subscriptions and range-heavy price windows after replace churn.
+//
 // Expected shape: counting-index matching grows sublinearly with the
 // number of filters while the naive loop grows linearly; extraction and
 // (de)serialization sit in the sub-microsecond range that makes one-time
@@ -18,6 +21,7 @@
 #include "cake/index/index.hpp"
 #include "cake/runtime/local_bus.hpp"
 #include "cake/util/regex.hpp"
+#include "cake/util/rng.hpp"
 #include "cake/weaken/weaken.hpp"
 #include "cake/workload/generators.hpp"
 
@@ -82,6 +86,60 @@ void BM_MatchTrie(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MatchTrie)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
+
+// Range-heavy arms (A4's counterpart to the equality-heavy Biblio arms
+// above): every filter is one Stock price window [lo, lo + 10) with lo
+// uniform over [0, 1000), and events carry uniform prices, so an event
+// matches about 1% of the table. Before measuring, the table takes 5x its
+// size in replaces (remove a random live filter, add a fresh window), so
+// what removed filters leave behind in an engine shows in its cost.
+void match_windows(benchmark::State& state, index::MatchIndex& idx) {
+  workload::ensure_types_registered();
+  util::Rng rng{7};
+  const auto window = [&rng] {
+    const double lo = static_cast<double>(rng.below(1000));
+    return filter::FilterBuilder{"Stock"}
+        .where("price", filter::Op::Ge, value::Value{lo})
+        .where("price", filter::Op::Lt, value::Value{lo + 10})
+        .build();
+  };
+  const auto filters = static_cast<std::size_t>(state.range(0));
+  std::vector<index::FilterId> live;
+  for (std::size_t i = 0; i < filters; ++i) live.push_back(idx.add(window()));
+  for (std::size_t i = 0; i < 5 * filters; ++i) {
+    index::FilterId& victim = live[rng.below(live.size())];
+    idx.remove(victim);
+    victim = idx.add(window());
+  }
+  std::vector<event::EventImage> events;
+  for (int i = 0; i < 64; ++i)
+    events.push_back(event::image_of(workload::Stock{"S", 1010 * rng.uniform(), 1}));
+  std::vector<index::FilterId> out;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    idx.match(events[i++ % events.size()], out);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+void BM_MatchWindowNaive(benchmark::State& state) {
+  index::NaiveTable idx{reflect::TypeRegistry::global()};
+  match_windows(state, idx);
+}
+BENCHMARK(BM_MatchWindowNaive)->Arg(200)->Arg(2000)->Arg(20000);
+
+void BM_MatchWindowCounting(benchmark::State& state) {
+  index::CountingIndex idx{reflect::TypeRegistry::global()};
+  match_windows(state, idx);
+}
+BENCHMARK(BM_MatchWindowCounting)->Arg(200)->Arg(2000)->Arg(20000);
+
+void BM_MatchWindowTrie(benchmark::State& state) {
+  index::TrieIndex idx{reflect::TypeRegistry::global()};
+  match_windows(state, idx);
+}
+BENCHMARK(BM_MatchWindowTrie)->Arg(200)->Arg(2000)->Arg(20000);
 
 void BM_ImageExtraction(benchmark::State& state) {
   workload::ensure_types_registered();

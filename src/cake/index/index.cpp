@@ -1,6 +1,8 @@
 #include "cake/index/index.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "cake/index/sharded.hpp"
 
@@ -24,11 +26,10 @@ MatchScratch::CountingState& MatchScratch::counting_for(const void* owner,
   // indexes sheds them all at once rather than leaking state forever.
   if (counting_.size() > 64 && !counting_.contains(owner)) counting_.clear();
   CountingState& state = counting_[owner];
-  if (state.stamps.size() < filters) {
-    // New entries get stamp 0; epoch is always ≥ 1 by the time they are
+  if (state.slots.size() < filters) {
+    // New slots get stamp 0; epoch is always ≥ 1 by the time they are
     // read, so they can never alias a live count.
-    state.counts.resize(filters, 0);
-    state.stamps.resize(filters, 0);
+    state.slots.resize(filters);
   }
   return state;
 }
@@ -60,9 +61,59 @@ const filter::ConjunctiveFilter* NaiveTable::find(FilterId id) const noexcept {
   return &*slots_[id];
 }
 
+namespace {
+
+// Ranges an `add` leaves unsorted before they are merged into the sorted
+// run. A match scans the tail in full, so it stays short; keeping every
+// insert sorted instead would cost each add a search and a shift.
+constexpr std::size_t kRangeTail = 32;
+
+// Removed ids are swept out once they outnumber half the live filters. A
+// match then walks at most one dead slot per two live ones, and each sweep,
+// linear in the lists, is paid for by the removals since the last one.
+bool sweep_due(std::size_t dead, std::size_t live) noexcept {
+  return dead * 2 > live;
+}
+
+bool is_lower(filter::Op op) noexcept {
+  return op == filter::Op::Ge || op == filter::Op::Gt;
+}
+
+bool is_strict(filter::Op op) noexcept {
+  return op == filter::Op::Gt || op == filter::Op::Lt;
+}
+
+// The operand of a range constraint (Ge/Gt/Le/Lt) with a numeric operand,
+// which the range lists index; nullopt for every other constraint.
+std::optional<double> numeric_bound(const filter::AttributeConstraint& c) noexcept {
+  switch (c.op) {
+    case filter::Op::Ge:
+    case filter::Op::Gt:
+    case filter::Op::Le:
+    case filter::Op::Lt:
+      return c.operand.as_number();
+    default:
+      return std::nullopt;
+  }
+}
+
+}  // namespace
+
+void CountingIndex::RangeList::insert(const Range& range) {
+  tail.push_back(range);
+  if (tail.size() <= kRangeTail) return;
+  const auto by_key = [](const Range& a, const Range& b) { return a.key < b.key; };
+  std::sort(tail.begin(), tail.end(), by_key);
+  const std::size_t sorted = run.size();
+  run.insert(run.end(), tail.begin(), tail.end());
+  std::inplace_merge(run.begin(), run.begin() + static_cast<std::ptrdiff_t>(sorted),
+                     run.end(), by_key);
+  tail.clear();
+}
+
 FilterId CountingIndex::add(filter::ConjunctiveFilter filter) {
-  const FilterId id = entries_.size();
-  std::size_t required = 0;
+  const FilterId id = filters_.size();
+  std::uint32_t required = 0;
 
   const auto& type = filter.type();
   if (!type.accepts_all()) {
@@ -72,36 +123,131 @@ FilterId CountingIndex::add(filter::ConjunctiveFilter filter) {
                                          : exact_type_[type_id];
     bucket.push_back(id);
   }
-  for (const auto& constraint : filter.constraints()) {
+  const auto& constraints = filter.constraints();
+  for (std::size_t i = 0; i < constraints.size(); ++i) {
+    const auto& constraint = constraints[i];
     if (constraint.is_wildcard()) continue;  // trivially satisfied
     ++required;
     AttrIndex& attr_index = by_attribute_[symbol::intern(constraint.name).id];
-    if (constraint.op == filter::Op::Eq)
+    if (constraint.op == filter::Op::Eq) {
       attr_index.equals[constraint.operand].push_back(id);
+      continue;
+    }
+    const std::optional<double> bound = numeric_bound(constraint);
+    if (!bound) {
+      attr_index.other.push_back({constraint.op, constraint.operand, id});
+      continue;
+    }
+    // A NaN operand orders against nothing: leaving it out of the lists
+    // means the predicate is never bumped and the filter never matches.
+    if (std::isnan(*bound)) continue;
+    const bool lower = is_lower(constraint.op);
+    const bool strict = is_strict(constraint.op);
+    // A window: the next constraint bounds the same attribute from the
+    // other side, and the pair becomes one range.
+    if (i + 1 < constraints.size()) {
+      const auto& next = constraints[i + 1];
+      const std::optional<double> end = numeric_bound(next);
+      if (end && !std::isnan(*end) && is_lower(next.op) != lower &&
+          next.name == constraint.name) {
+        attr_index.lower.insert(
+            lower ? Range{*bound, *end, id, strict, is_strict(next.op)}
+                  : Range{*end, *bound, id, is_strict(next.op), strict});
+        ++i;
+        continue;
+      }
+    }
+    if (lower)
+      attr_index.lower.insert({.key = *bound, .id = id, .key_strict = strict});
     else
-      attr_index.other.emplace_back(constraint, id);
+      attr_index.upper.insert({.key = -*bound, .id = id, .key_strict = strict});
   }
 
-  entries_.push_back(Entry{std::move(filter), required, true});
+  filters_.push_back(std::move(filter));
+  required_.push_back(required);
+  if (required == 0) accept_all_.push_back(id);
   ++live_;
   return id;
 }
 
 void CountingIndex::remove(FilterId id) {
-  if (id < entries_.size() && entries_[id].alive) {
-    entries_[id].alive = false;
-    --live_;
-  }
+  if (id >= required_.size() || required_[id] == kDead) return;
+  required_[id] = kDead;
+  removed_.push_back(id);
+  --live_;
+  if (sweep_due(removed_.size(), live_)) sweep();
 }
 
-void CountingIndex::bump(const Entry& entry, FilterId id, std::vector<FilterId>& out,
-                         MatchScratch::CountingState& state) {
-  if (!entry.alive) return;
-  if (state.stamps[id] != state.epoch) {
-    state.stamps[id] = state.epoch;
-    state.counts[id] = 0;
+void CountingIndex::sweep() {
+  const auto dead = [this](FilterId id) { return required_[id] == kDead; };
+  const auto dead_range = [&dead](const Range& r) { return dead(r.id); };
+  // Sweeps every id list of `table`, dropping buckets left empty.
+  const auto sweep_ids = [&dead](auto& table) {
+    for (auto it = table.begin(); it != table.end();) {
+      std::erase_if(it->second, dead);
+      it = it->second.empty() ? table.erase(it) : std::next(it);
+    }
+  };
+
+  std::erase_if(accept_all_, dead);
+  sweep_ids(exact_type_);
+  sweep_ids(subtree_type_);
+  for (auto it = by_attribute_.begin(); it != by_attribute_.end();) {
+    AttrIndex& index = it->second;
+    sweep_ids(index.equals);
+    for (RangeList* list : {&index.lower, &index.upper}) {
+      std::erase_if(list->run, dead_range);
+      std::erase_if(list->tail, dead_range);
+    }
+    std::erase_if(index.other, [&dead](const Scan& s) { return dead(s.id); });
+    const bool empty = index.equals.empty() && index.lower.size() == 0 &&
+                       index.upper.size() == 0 && index.other.empty();
+    it = empty ? by_attribute_.erase(it) : std::next(it);
   }
-  if (++state.counts[id] == entry.required) out.push_back(id);
+  // Release the removed filters' storage in one batch: their memory is
+  // usually cold, and a release per remove would pay its misses one by one.
+  for (const FilterId id : removed_)
+    (void)std::exchange(filters_[id], filter::ConjunctiveFilter{});
+  removed_.clear();
+}
+
+std::size_t CountingIndex::slot_count() const noexcept {
+  const auto ids = [](const auto& table) {
+    std::size_t n = 0;
+    for (const auto& bucket : table) n += bucket.second.size();
+    return n;
+  };
+  std::size_t slots = accept_all_.size() + ids(exact_type_) + ids(subtree_type_);
+  for (const auto& [attr, index] : by_attribute_) {
+    slots += ids(index.equals) + index.lower.size() + index.upper.size() +
+             index.other.size();
+  }
+  return slots;
+}
+
+void CountingIndex::bump(FilterId id, std::vector<FilterId>& out,
+                         MatchScratch::CountingState& state) const {
+  MatchScratch::CountingState::Slot& slot = state.slots[id];
+  if (slot.stamp != state.epoch) {
+    slot.stamp = state.epoch;
+    slot.count = 0;
+  }
+  if (++slot.count == required_[id]) out.push_back(id);
+}
+
+void CountingIndex::bump_ranges(const RangeList& list, double x,
+                                std::vector<FilterId>& out,
+                                MatchScratch::CountingState& state) const {
+  const auto holds = [x](const Range& r) {
+    return (r.key < x || (r.key == x && !r.key_strict)) &&
+           (x < r.limit || (x == r.limit && !r.limit_strict));
+  };
+  for (const Range& r : list.run) {
+    if (r.key > x) break;  // sorted by key: no later range holds
+    if (holds(r)) bump(r.id, out, state);
+  }
+  for (const Range& r : list.tail)
+    if (holds(r)) bump(r.id, out, state);
 }
 
 void CountingIndex::match(const event::EventImage& image,
@@ -109,32 +255,31 @@ void CountingIndex::match(const event::EventImage& image,
                           MatchScratch& scratch) const {
   out.clear();
   MatchScratch::CountingState& state =
-      scratch.counting_for(this, entries_.size());
+      scratch.counting_for(this, required_.size());
   ++state.epoch;
 
   // Filters with no non-trivial predicate match everything.
-  for (FilterId id = 0; id < entries_.size(); ++id) {
-    if (entries_[id].alive && entries_[id].required == 0) out.push_back(id);
-  }
+  for (const FilterId id : accept_all_)
+    if (required_[id] != kDead) out.push_back(id);
 
   // Type predicates: exact name, then every registered ancestor's subtree.
   // All lookups are by interned symbol id — integer hashes, no strings.
   if (const auto exact = exact_type_.find(image.type_id());
       exact != exact_type_.end()) {
-    for (const FilterId id : exact->second) bump(entries_[id], id, out, state);
+    for (const FilterId id : exact->second) bump(id, out, state);
   }
   const reflect::TypeInfo* type = registry_.find(image.type_id());
   if (type != nullptr) {
     for (const reflect::TypeInfo* anc = type; anc != nullptr; anc = anc->parent()) {
       if (const auto it = subtree_type_.find(anc->symbol().id);
           it != subtree_type_.end())
-        for (const FilterId id : it->second) bump(entries_[id], id, out, state);
+        for (const FilterId id : it->second) bump(id, out, state);
     }
   } else if (const auto it = subtree_type_.find(image.type_id());
              it != subtree_type_.end()) {
     // Unregistered event type: a subtree rooted at exactly this name still
     // matches (conformance is reflexive).
-    for (const FilterId id : it->second) bump(entries_[id], id, out, state);
+    for (const FilterId id : it->second) bump(id, out, state);
   }
 
   // Attribute predicates.
@@ -144,18 +289,24 @@ void CountingIndex::match(const event::EventImage& image,
     const AttrIndex& attr_index = it->second;
     if (const auto eq = attr_index.equals.find(attr.value);
         eq != attr_index.equals.end()) {
-      for (const FilterId id : eq->second) bump(entries_[id], id, out, state);
+      for (const FilterId id : eq->second) bump(id, out, state);
     }
-    for (const auto& [constraint, id] : attr_index.other) {
-      if (applies(constraint.op, attr.value, constraint.operand))
-        bump(entries_[id], id, out, state);
+    // Numeric bounds hold only for numeric values, and never for NaN
+    // (Value::compare).
+    if (const std::optional<double> x = attr.value.as_number();
+        x && !std::isnan(*x)) {
+      bump_ranges(attr_index.lower, *x, out, state);
+      bump_ranges(attr_index.upper, -*x, out, state);
+    }
+    for (const Scan& scan : attr_index.other) {
+      if (applies(scan.op, attr.value, scan.operand)) bump(scan.id, out, state);
     }
   }
 }
 
 const filter::ConjunctiveFilter* CountingIndex::find(FilterId id) const noexcept {
-  if (id >= entries_.size() || !entries_[id].alive) return nullptr;
-  return &entries_[id].filter;
+  if (id >= required_.size() || required_[id] == kDead) return nullptr;
+  return &filters_[id];
 }
 
 FilterId TrieIndex::add(filter::ConjunctiveFilter filter) {
@@ -175,16 +326,34 @@ FilterId TrieIndex::add(filter::ConjunctiveFilter filter) {
     }
   }
   nodes_[node].terminal.push_back(id);
-  entries_.push_back(Entry{std::move(filter), true});
+  entries_.push_back(Entry{std::move(filter), node, true});
   ++live_;
   return id;
 }
 
 void TrieIndex::remove(FilterId id) {
-  if (id < entries_.size() && entries_[id].alive) {
-    entries_[id].alive = false;  // terminal lists are filtered lazily
-    --live_;
+  if (id >= entries_.size() || !entries_[id].alive) return;
+  entries_[id].alive = false;
+  removed_.push_back(id);
+  --live_;
+  if (sweep_due(removed_.size(), live_)) sweep();
+}
+
+void TrieIndex::sweep() {
+  // Only the nodes that held a removed id need a pass.
+  std::vector<std::size_t> nodes;
+  nodes.reserve(removed_.size());
+  for (const FilterId id : removed_) {
+    nodes.push_back(entries_[id].node);
+    (void)std::exchange(entries_[id].filter, filter::ConjunctiveFilter{});
   }
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  for (const std::size_t node : nodes) {
+    std::erase_if(nodes_[node].terminal,
+                  [this](FilterId id) { return !entries_[id].alive; });
+  }
+  removed_.clear();
 }
 
 void TrieIndex::match_node(std::size_t node_index, const event::EventImage& image,

@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -46,10 +48,14 @@ private:
   friend class AggregatedIndex;
 
   /// Predicate-hit counters for one counting index, epoch-stamped so a
-  /// reused scratch needs no O(filters) clearing between matches.
+  /// reused scratch needs no O(filters) clearing between matches. Stamp
+  /// and count share a slot, so a bump touches one cache line.
   struct CountingState {
-    std::vector<std::size_t> counts;
-    std::vector<std::uint64_t> stamps;
+    struct Slot {
+      std::uint64_t stamp = 0;
+      std::uint32_t count = 0;
+    };
+    std::vector<Slot> slots;
     std::uint64_t epoch = 0;
   };
 
@@ -130,8 +136,14 @@ private:
   std::size_t live_ = 0;
 };
 
-/// Predicate-counting matcher with per-attribute hash indexes for equality
-/// constraints and per-attribute scan lists for the rest.
+/// Predicate-counting matcher. Per attribute, equality constraints sit in
+/// a hash index and numeric ranges in two lists ordered by operand, so a
+/// match visits only the predicates the event satisfies (plus a short
+/// unsorted insert tail); the other operators (Ne, Prefix, Regex, Exists,
+/// string and bool ranges) sit on a per-attribute scan list. Removed
+/// filters are swept out of every list, and their storage released, once
+/// they pass a fixed share of the live ones (amortized O(1) per remove);
+/// ids never move.
 class CountingIndex final : public MatchIndex {
 public:
   explicit CountingIndex(const reflect::TypeRegistry& registry) : registry_(registry) {}
@@ -144,25 +156,68 @@ public:
   [[nodiscard]] std::size_t size() const noexcept override { return live_; }
   [[nodiscard]] const filter::ConjunctiveFilter* find(FilterId id) const noexcept override;
 
+  /// Number of filter-id slots across every candidate list, removed ids
+  /// not yet swept out included (diagnostics: bounds the dead share).
+  [[nodiscard]] std::size_t slot_count() const noexcept;
+
 private:
-  struct Entry {
-    filter::ConjunctiveFilter filter;
-    std::size_t required = 0;  // non-trivial predicates incl. type test
-    bool alive = true;
+  /// A numeric range on one attribute, holding for an event value `x` when
+  /// `key` bounds it from below and `limit` from above. A lower bound
+  /// (Ge/Gt) keys on its operand; a window (a lower bound followed by an
+  /// upper one on the same attribute, or the reverse) adds the upper
+  /// operand as its limit and counts as one predicate; a lone upper bound
+  /// (Le/Lt) keys on its negated operand and is tested against -x.
+  struct Range {
+    double key = 0;
+    double limit = std::numeric_limits<double>::infinity();
+    FilterId id = 0;
+    bool key_strict = false;    // fails at x == key (Gt, or Lt negated)
+    bool limit_strict = false;  // fails at x == limit (Lt)
+  };
+  /// Ranges of one direction on one attribute. `run` is sorted by key, so
+  /// the ranges whose key holds are a prefix of it; `tail` takes inserts
+  /// unsorted, is scanned in full, and is merged into `run` once full.
+  struct RangeList {
+    std::vector<Range> run;
+    std::vector<Range> tail;
+
+    void insert(const Range& range);
+    [[nodiscard]] std::size_t size() const noexcept {
+      return run.size() + tail.size();
+    }
+  };
+  /// A constraint evaluated with `applies` on every event carrying it.
+  struct Scan {
+    filter::Op op = filter::Op::Any;
+    value::Value operand;
+    FilterId id = 0;
   };
   struct AttrIndex {
     // value -> filter ids with (attr == value)
     std::unordered_map<value::Value, std::vector<FilterId>> equals;
-    // all other presence-requiring constraints on this attribute
-    std::vector<std::pair<filter::AttributeConstraint, FilterId>> other;
+    RangeList lower;  // lower bounds and windows, on x
+    RangeList upper;  // lone upper bounds, on -x
+    std::vector<Scan> other;
   };
 
-  static void bump(const Entry& entry, FilterId id, std::vector<FilterId>& out,
-                   MatchScratch::CountingState& state);
+  // required_[id] for a removed filter: no count ever reaches it.
+  static constexpr std::uint32_t kDead = std::numeric_limits<std::uint32_t>::max();
+
+  void bump(FilterId id, std::vector<FilterId>& out,
+            MatchScratch::CountingState& state) const;
+  void bump_ranges(const RangeList& list, double x, std::vector<FilterId>& out,
+                   MatchScratch::CountingState& state) const;
+  void sweep();
 
   const reflect::TypeRegistry& registry_;
-  std::vector<Entry> entries_;
+  std::vector<filter::ConjunctiveFilter> filters_;  // by id
+  // Index entries (the type test, each non-wildcard constraint, a window
+  // counting once) each filter must hit, or kDead. Kept apart from the
+  // filters so the counting pass reads four bytes per candidate.
+  std::vector<std::uint32_t> required_;
   std::size_t live_ = 0;
+  std::vector<FilterId> removed_;  // dead ids the next sweep drops and frees
+  std::vector<FilterId> accept_all_;  // filters with no predicate at all
   // All three tables key by interned symbol id: the match loop hashes one
   // u32 per attribute instead of a string (DESIGN.md §9).
   std::unordered_map<symbol::Id, AttrIndex> by_attribute_;
@@ -217,16 +272,21 @@ private:
   };
   struct Entry {
     filter::ConjunctiveFilter filter;
+    std::size_t node = 0;  // whose terminal list holds the id
     bool alive = true;
   };
 
   void match_node(std::size_t node_index, const event::EventImage& image,
                   std::vector<FilterId>& out) const;
+  void sweep();
 
   const reflect::TypeRegistry& registry_;
   std::vector<Node> nodes_{1};  // nodes_[0] is the root
   std::vector<Entry> entries_;
   std::size_t live_ = 0;
+  // Dead ids still on terminal lists and holding their filter; swept out
+  // and released once they pass a fixed share of the live filters.
+  std::vector<FilterId> removed_;
 };
 
 }  // namespace cake::index

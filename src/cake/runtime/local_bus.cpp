@@ -1,5 +1,6 @@
 #include "cake/runtime/local_bus.hpp"
 
+#include <deque>
 #include <vector>
 
 namespace cake::runtime {
@@ -58,8 +59,23 @@ std::size_t LocalBus::publish(const event::Event& event) {
   // to — copy the live subscriptions out, then dispatch lock-free so
   // handlers may re-enter the bus. The thread-local scratch is done with
   // by the time handlers (or predicates) run, so reentrant publishes on
-  // this thread reuse it safely.
-  std::vector<std::shared_ptr<Subscription>> targets;
+  // this thread reuse it safely. The snapshot itself cannot be shared
+  // that way: each reentrancy depth on this thread gets its own vector
+  // (a deque never moves its elements, so a nested publish growing the
+  // pool leaves outer snapshots in place), cleared on the way out so no
+  // subscription outlives its publish.
+  thread_local std::deque<std::vector<std::shared_ptr<Subscription>>> snapshots;
+  thread_local std::size_t depth = 0;
+  if (snapshots.size() == depth) snapshots.emplace_back();
+  auto& targets = snapshots[depth++];
+  struct Release {
+    std::vector<std::shared_ptr<Subscription>>& targets;
+    std::size_t& depth;
+    ~Release() {
+      targets.clear();
+      --depth;
+    }
+  } release{targets, depth};
   {
     std::shared_lock table_lock{table_mutex_};
     thread_local index::MatchScratch scratch;

@@ -7,6 +7,7 @@
 #include "cake/index/sharded.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "cake/event/event.hpp"
 #include "cake/util/rng.hpp"
@@ -135,6 +136,96 @@ TEST_P(IndexTest, ManyFiltersSelectSubset) {
   EXPECT_EQ(matched, expected);
 }
 
+// A Stock image carrying only `price = v`, of any kind.
+EventImage priced(Value v) { return EventImage{"Stock", {{"price", std::move(v)}}}; }
+
+FilterId add_bound(MatchIndex& index, Op op, Value operand) {
+  return index.add(
+      FilterBuilder{"Stock"}.where("price", op, std::move(operand)).build());
+}
+
+TEST_P(IndexTest, RangeBoundsExactlyAtTheOperand) {
+  const FilterId gt = add_bound(*index_, Op::Gt, Value{5.0});
+  const FilterId ge = add_bound(*index_, Op::Ge, Value{5.0});
+  const FilterId lt = add_bound(*index_, Op::Lt, Value{5.0});
+  const FilterId le = add_bound(*index_, Op::Le, Value{5.0});
+  EXPECT_EQ(match(priced(Value{5.0})), (std::vector<FilterId>{ge, le}));
+  EXPECT_EQ(match(priced(Value{4.5})), (std::vector<FilterId>{lt, le}));
+  EXPECT_EQ(match(priced(Value{5.5})), (std::vector<FilterId>{gt, ge}));
+}
+
+TEST_P(IndexTest, IntAndDoubleCompareAsNumbers) {
+  const FilterId ge_int = add_bound(*index_, Op::Ge, Value{5});
+  const FilterId lt_double = add_bound(*index_, Op::Lt, Value{5.0});
+  const FilterId le_int = add_bound(*index_, Op::Le, Value{5});
+  const FilterId gt_double = add_bound(*index_, Op::Gt, Value{5.0});
+  EXPECT_EQ(match(priced(Value{5})), (std::vector<FilterId>{ge_int, le_int}));
+  EXPECT_EQ(match(priced(Value{5.0})), (std::vector<FilterId>{ge_int, le_int}));
+  EXPECT_EQ(match(priced(Value{4})), (std::vector<FilterId>{lt_double, le_int}));
+  EXPECT_EQ(match(priced(Value{6})), (std::vector<FilterId>{ge_int, gt_double}));
+}
+
+TEST_P(IndexTest, NaNMatchesNoBoundAndInfinitiesOrder) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  add_bound(*index_, Op::Ge, Value{nan});  // a NaN operand matches nothing
+  add_bound(*index_, Op::Lt, Value{nan});
+  const FilterId above_neg_inf = add_bound(*index_, Op::Gt, Value{-inf});
+  const FilterId below_inf = add_bound(*index_, Op::Lt, Value{inf});
+  const FilterId at_most_inf = add_bound(*index_, Op::Le, Value{inf});
+  const FilterId at_least_inf = add_bound(*index_, Op::Ge, Value{inf});
+  const FilterId at_least_neg_inf = add_bound(*index_, Op::Ge, Value{-inf});
+  EXPECT_TRUE(match(priced(Value{nan})).empty());
+  EXPECT_EQ(match(priced(Value{inf})),
+            (std::vector<FilterId>{above_neg_inf, at_most_inf, at_least_inf,
+                                   at_least_neg_inf}));
+  EXPECT_EQ(match(priced(Value{-inf})),
+            (std::vector<FilterId>{below_inf, at_most_inf, at_least_neg_inf}));
+  EXPECT_EQ(match(priced(Value{1})),
+            (std::vector<FilterId>{above_neg_inf, below_inf, at_most_inf,
+                                   at_least_neg_inf}));
+}
+
+TEST_P(IndexTest, StringAndBoolRangesBesideNumericBounds) {
+  const FilterId ge_five = add_bound(*index_, Op::Ge, Value{5.0});
+  const FilterId le_ten = add_bound(*index_, Op::Le, Value{10});
+  const FilterId before_m = add_bound(*index_, Op::Lt, Value{"m"});
+  const FilterId above_false = add_bound(*index_, Op::Gt, Value{false});
+  EXPECT_EQ(match(priced(Value{7.0})), (std::vector<FilterId>{ge_five, le_ten}));
+  EXPECT_EQ(match(priced(Value{"a"})), std::vector<FilterId>{before_m});
+  EXPECT_TRUE(match(priced(Value{"z"})).empty());
+  EXPECT_EQ(match(priced(Value{true})), std::vector<FilterId>{above_false});
+  EXPECT_TRUE(match(priced(Value{false})).empty());
+  EXPECT_TRUE(match(priced(Value{})).empty());  // null orders against nothing
+}
+
+TEST_P(IndexTest, TwoLowerBoundsOnOneAttribute) {
+  const FilterId id = index_->add(FilterBuilder{"Stock"}
+                                      .where("price", Op::Ge, Value{5})
+                                      .where("price", Op::Gt, Value{7.0})
+                                      .build());
+  EXPECT_TRUE(match(priced(Value{6.0})).empty());
+  EXPECT_TRUE(match(priced(Value{7})).empty());
+  EXPECT_EQ(match(priced(Value{7.5})), std::vector<FilterId>{id});
+}
+
+TEST_P(IndexTest, WindowsInEitherOrderAndWithAThirdBound) {
+  const FilterId upper_first = index_->add(FilterBuilder{"Stock"}
+                                               .where("price", Op::Le, Value{10})
+                                               .where("price", Op::Gt, Value{5.0})
+                                               .build());
+  const FilterId narrowed = index_->add(FilterBuilder{"Stock"}
+                                            .where("price", Op::Ge, Value{5})
+                                            .where("price", Op::Lt, Value{10.0})
+                                            .where("price", Op::Lt, Value{8})
+                                            .build());
+  EXPECT_EQ(match(priced(Value{5})), std::vector<FilterId>{narrowed});
+  EXPECT_EQ(match(priced(Value{7.5})), (std::vector<FilterId>{upper_first, narrowed}));
+  EXPECT_EQ(match(priced(Value{8})), std::vector<FilterId>{upper_first});
+  EXPECT_EQ(match(priced(Value{10})), std::vector<FilterId>{upper_first});
+  EXPECT_TRUE(match(priced(Value{10.5})).empty());
+}
+
 INSTANTIATE_TEST_SUITE_P(Engines, IndexTest,
                          ::testing::Values(Engine::Naive, Engine::Counting,
                                            Engine::Trie,
@@ -246,6 +337,129 @@ TEST(IndexOracle, CountingAgreesWithNaiveOnRandomWorkloads) {
     ASSERT_EQ(out_naive, out_trie) << "event " << image.to_string();
     ASSERT_EQ(out_naive, out_sharded) << "event " << image.to_string();
   }
+}
+
+// Range-heavy churn: window and open-ended bounds on a double (price) and
+// an int (volume) attribute, int and double operands mixed, with enough
+// replaces that every engine compacts many times. Operands and event values
+// are drawn from a small grid so events land exactly on bounds often.
+TEST(IndexOracle, RangeHeavyChurnAgreesWithNaive) {
+  workload::ensure_types_registered();
+  util::Rng rng{4242};
+  const auto& registry = reflect::TypeRegistry::global();
+  NaiveTable naive{registry};
+  CountingIndex counting{registry};
+  TrieIndex trie{registry};
+  ShardedIndex sharded{Engine::Counting, registry, 8};
+  MatchIndex* const engines[] = {&naive, &counting, &trie, &sharded};
+
+  const auto operand = [&rng](bool as_int) {
+    const auto grid = static_cast<std::int64_t>(rng.below(40));
+    return as_int ? Value{grid} : Value{static_cast<double>(grid)};
+  };
+  const auto lower = [&rng] { return rng.chance(0.5) ? Op::Ge : Op::Gt; };
+  const auto upper = [&rng] { return rng.chance(0.5) ? Op::Le : Op::Lt; };
+  const auto next_filter = [&] {
+    const char* attr = rng.chance(0.5) ? "price" : "volume";
+    FilterBuilder builder{"Stock"};
+    switch (rng.below(4)) {
+      case 0: {  // window [lo, lo + width), either end written first
+        const Value lo = operand(rng.chance(0.5));
+        const Value hi{*lo.as_number() + 1.0 + static_cast<double>(rng.below(8))};
+        if (rng.chance(0.5))
+          builder.where(attr, lower(), lo).where(attr, upper(), hi);
+        else
+          builder.where(attr, upper(), hi).where(attr, lower(), lo);
+        break;
+      }
+      case 1: builder.where(attr, lower(), operand(rng.chance(0.5))); break;
+      case 2: builder.where(attr, upper(), operand(rng.chance(0.5))); break;
+      case 3:  // windows on both attributes
+        builder.where("price", lower(), operand(false))
+            .where("volume", upper(), operand(true));
+        break;
+    }
+    return builder.build();
+  };
+
+  std::vector<FilterId> live;
+  const auto add = [&] {
+    const ConjunctiveFilter f = next_filter();
+    const FilterId id = naive.add(f);
+    for (MatchIndex* engine : engines) {
+      if (engine == &naive) continue;
+      ASSERT_EQ(engine->add(f), id);
+    }
+    live.push_back(id);
+  };
+  for (int i = 0; i < 300; ++i) add();
+
+  std::vector<FilterId> expected, got;
+  constexpr int kBatches = 100, kReplacesPerBatch = 100;
+  for (int batch = 0; batch < kBatches; ++batch) {
+    for (int r = 0; r < kReplacesPerBatch; ++r) {
+      const std::size_t victim = rng.below(live.size());
+      for (MatchIndex* engine : engines) engine->remove(live[victim]);
+      live[victim] = live.back();
+      live.pop_back();
+      add();
+    }
+    for (MatchIndex* engine : engines) ASSERT_EQ(engine->size(), live.size());
+    for (int e = 0; e < 40; ++e) {
+      const double price = rng.chance(0.5)
+                               ? static_cast<double>(rng.below(48))
+                               : 48.0 * rng.uniform();
+      const EventImage image = image_of(
+          Stock{"S", price, static_cast<std::int64_t>(rng.below(48))});
+      naive.match(image, expected);
+      std::sort(expected.begin(), expected.end());
+      for (MatchIndex* engine : engines) {
+        engine->match(image, got);
+        std::sort(got.begin(), got.end());
+        ASSERT_EQ(got, expected) << "batch " << batch << " event "
+                                 << image.to_string();
+      }
+    }
+  }
+}
+
+// Removed ids never make up more than half the live ones in the counting
+// index's candidate lists, whatever the removal order.
+TEST(CountingStructure, DeadSlotsStayBoundedUnderChurn) {
+  workload::ensure_types_registered();
+  util::Rng rng{99};
+  CountingIndex index{reflect::TypeRegistry::global()};
+  // Each filter holds two slots: its type test and one price window.
+  const auto window = [&rng] {
+    const double lo = static_cast<double>(rng.below(100));
+    return FilterBuilder{"Stock"}
+        .where("price", Op::Ge, Value{lo})
+        .where("price", Op::Lt, Value{lo + 10})
+        .build();
+  };
+  std::vector<FilterId> live;
+  for (int i = 0; i < 200; ++i) live.push_back(index.add(window()));
+  EXPECT_EQ(index.slot_count(), 2 * live.size());
+
+  const auto check_bounded = [&] {
+    const std::size_t n = index.size();
+    ASSERT_LE(index.slot_count(), 2 * (n + n / 2)) << n << " live";
+  };
+  for (int r = 0; r < 5000; ++r) {
+    const std::size_t victim = rng.below(live.size());
+    index.remove(live[victim]);
+    live[victim] = index.add(window());
+    check_bounded();
+  }
+  // Drain it completely, in random order: the lists empty out with it.
+  while (!live.empty()) {
+    const std::size_t victim = rng.below(live.size());
+    index.remove(live[victim]);
+    live[victim] = live.back();
+    live.pop_back();
+    check_bounded();
+  }
+  EXPECT_EQ(index.slot_count(), 0u);
 }
 
 }  // namespace

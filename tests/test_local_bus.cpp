@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
 
 #include "cake/workload/generators.hpp"
@@ -104,6 +105,24 @@ TEST_P(LocalBusTest, HandlersMayReenterTheBus) {
       });
   bus_.publish(Stock{"ADDER", 1.0, 1});
   EXPECT_TRUE(added);
+}
+
+// publish() keeps its target snapshot in a reused per-thread buffer; it
+// must let go of the subscriptions when it returns, at every reentrancy
+// depth, or an unsubscribed handler (and what it captured) would live on.
+TEST_P(LocalBusTest, PublishHoldsNoSubscriptionAfterItReturns) {
+  const auto captured = std::make_shared<int>(0);
+  const auto outer = bus_.subscribe<Stock>(
+      FilterBuilder{"Stock"}.where("symbol", Op::Eq, Value{"OUTER"}).build(),
+      [this](const Stock&) { bus_.publish(Stock{"INNER", 1.0, 1}); });
+  const auto inner = bus_.subscribe<Stock>(
+      FilterBuilder{"Stock"}.where("symbol", Op::Eq, Value{"INNER"}).build(),
+      [captured](const Stock&) { ++*captured; });
+  bus_.publish(Stock{"OUTER", 1.0, 1});
+  EXPECT_EQ(*captured, 1);
+  bus_.unsubscribe(inner);
+  bus_.unsubscribe(outer);
+  EXPECT_EQ(captured.use_count(), 1);
 }
 
 TEST_P(LocalBusTest, StatsAccumulate) {

@@ -20,6 +20,8 @@ Reads the three benchmark artifacts the CI smoke lane produces —
   BENCH_overload.json   (A20: 1x/2x/10x publish storms with one stalled
                          consumer — healthy-subscriber deliveries, shed
                          accounting, lease expiries, goodput, peak RSS)
+  BENCH_index.json      (A4: Counting window-filter match throughput
+                         after replace churn, Google Benchmark JSON)
 
 — and fails (exit 1) when any gated metric regresses past its per-metric
 threshold relative to the baseline copy of the same file.
@@ -128,6 +130,13 @@ RULES = {
         # leaking its backlog blows well past this.
         dict(key="arms", match=("multiplier",), metric="peak_rss_kb",
              direction="higher", rel=0.25, abs_slack=10240.0),
+    ],
+    "BENCH_index.json": [
+        # A4 range-heavy arms as Google Benchmark writes them: one entry per
+        # benchmark name, matches/sec in items_per_second. Wall-clock, so
+        # the standard relative band.
+        dict(key="benchmarks", match=("name",), metric="items_per_second",
+             direction="lower", rel=0.10, abs_slack=0.0),
     ],
     "BENCH_durability.json": [
         # Append throughput is wall-clock (FileStorage touches the real
@@ -406,6 +415,26 @@ def selftest():
          all(overload_verdicts(peak_rss_kb=60000))),
         ("overload rss blowup fails",
          not all(overload_verdicts(peak_rss_kb=90000))),
+    ]
+    index = {
+        "context": {"num_cpus": 4},
+        "benchmarks": [
+            {"name": "BM_MatchWindowCounting/2000", "iterations": 100000,
+             "items_per_second": 400000.0},
+        ],
+    }
+
+    def index_verdicts(**overrides):
+        cur = json.loads(json.dumps(index))
+        cur["benchmarks"][0].update(overrides)
+        return [ok for ok, _ in compare_file("BENCH_index.json", index, cur)]
+
+    checks += [
+        ("index identical run passes", all(index_verdicts())),
+        ("index 9% slowdown passes",
+         all(index_verdicts(items_per_second=364000.0))),
+        ("index 11% slowdown fails",
+         not all(index_verdicts(items_per_second=356000.0))),
     ]
     failed = [label for label, ok in checks if not ok]
     for label, ok in checks:
