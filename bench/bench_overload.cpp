@@ -11,8 +11,9 @@
 //   * the stalled consumer never costs a lease: zero Expired notices and
 //     zero forced rejoins, storm or no storm (control traffic is never
 //     starved behind events);
-//   * every shed frame is accounted: the conservation ledger's total is
-//     deterministic per multiplier and gated exactly;
+//   * every shed frame is accounted: the conservation ledger's total and
+//     its split by reason are deterministic per multiplier and gated
+//     exactly (a drop that moves between reasons fails the gate);
 //   * memory stays bounded: peak RSS gets a loose band — the watermark
 //     pens and stall inboxes cap per-child state, so a 10x storm must not
 //     balloon the process.
@@ -21,6 +22,7 @@
 // standard 10% wall-clock band.
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 
@@ -37,6 +39,7 @@ struct A20Row {
   std::uint64_t healthy_delivered = 0;
   std::uint64_t victim_delivered = 0;
   std::uint64_t total_shed = 0;
+  health::ShedCounts shed;  ///< total_shed split by reason
   std::uint64_t expired_notices = 0;
   std::uint64_t rejoins = 0;
   std::uint64_t quarantines = 0;
@@ -131,6 +134,7 @@ A20Row run_arm(std::size_t multiplier) {
   row.victim_delivered = received[0];
   const metrics::ShedLedger ledger = metrics::shed_ledger(overlay);
   row.total_shed = ledger.total_shed();
+  row.shed = ledger.shed;
   for (const auto& broker : overlay.brokers()) {
     row.expired_notices += broker->stats().expired_notices;
     row.quarantines += broker->stats().children_quarantined;
@@ -202,8 +206,14 @@ int main() {
          << ", \"rejoins\": " << r.rejoins
          << ", \"quarantines\": " << r.quarantines
          << ", \"events_per_sec\": " << r.events_per_sec
-         << ", \"peak_rss_kb\": " << r.peak_rss_kb << "}"
-         << (i + 1 == rows.size() ? "\n" : ",\n");
+         << ", \"peak_rss_kb\": " << r.peak_rss_kb;
+    for (std::size_t k = 0; k < health::kShedReasons; ++k) {
+      // "grace pen evicted" -> "shed_grace_pen_evicted"
+      std::string key{health::to_string(static_cast<health::ShedReason>(k))};
+      std::replace(key.begin(), key.end(), ' ', '_');
+      json << ", \"shed_" << key << "\": " << r.shed.by_reason[k];
+    }
+    json << "}" << (i + 1 == rows.size() ? "\n" : ",\n");
   }
   json << "  ]\n}\n";
   std::cout << "\nWrote BENCH_overload.json\n";

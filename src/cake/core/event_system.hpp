@@ -105,7 +105,7 @@ public:
   void detach() { node_.detach(); }
   void resume() { node_.resume(); }
 
-  [[nodiscard]] const routing::SubscriberStats& stats() const noexcept {
+  [[nodiscard]] routing::SubscriberStats stats() const noexcept {
     return node_.stats();
   }
   [[nodiscard]] routing::SubscriberNode& node() noexcept { return node_; }

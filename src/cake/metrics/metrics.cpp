@@ -128,35 +128,6 @@ double shard_imbalance(const std::vector<index::ShardStats>& shards) {
   return static_cast<double>(max) / mean;
 }
 
-util::TextTable attribution_table(const trace::Attribution& attribution) {
-  util::TextTable table{{"Attribute", "Spurious deliveries", "Spurious hops"}};
-  std::uint64_t hops_total = 0;
-  for (const auto& [attribute, count] : attribution.ranked()) {
-    const auto hops_it = attribution.spurious_hops_by_attribute.find(attribute);
-    const std::uint64_t hops =
-        hops_it == attribution.spurious_hops_by_attribute.end() ? 0
-                                                                : hops_it->second;
-    hops_total += hops;
-    table.add_row({attribute, std::to_string(count), std::to_string(hops)});
-  }
-  table.add_row({"(total)", std::to_string(attribution.total()),
-                 std::to_string(hops_total)});
-  return table;
-}
-
-util::TextTable trace_stage_table(const std::vector<trace::StageRollup>& rollups) {
-  util::TextTable table{{"Stage", "Hops", "Matched", "MR (traced)",
-                         "Latency avg µs", "Latency max µs"}};
-  for (const trace::StageRollup& r : rollups) {
-    table.add_row({std::to_string(r.stage), std::to_string(r.hops),
-                   std::to_string(r.matched), util::format_number(r.mr()),
-                   util::format_number(r.latency.mean()),
-                   util::format_number(r.latency.count() == 0 ? 0.0
-                                                              : r.latency.max())});
-  }
-  return table;
-}
-
 util::TextTable link_table(const link::LinkCounters& c, std::uint64_t reparents) {
   util::TextTable table{{"Link counter", "Count"}};
   const auto row = [&](const char* name, std::uint64_t value) {
@@ -181,34 +152,30 @@ ShedLedger shed_ledger(routing::Overlay& overlay) {
   for (const auto& publisher : overlay.publishers())
     ledger.published += publisher->stats().events_published;
   for (const auto& subscriber : overlay.subscribers()) {
-    const routing::SubscriberStats& s = subscriber->stats();
-    ledger.delivered += s.events_delivered;
-    ledger.stall_dropped += s.stall_inbox_dropped;
+    ledger.delivered += subscriber->stats().events_delivered;
+    ledger.shed += subscriber->shed_counts();
   }
   for (const auto& broker : overlay.brokers()) {
-    const routing::BrokerStats s = broker->stats();
-    ledger.pen_dropped += s.events_pen_dropped;
-    ledger.quarantine_dropped += s.events_quarantine_dropped;
-    ledger.buffer_overflows += s.buffer_overflows;
+    ledger.shed += broker->shed_counts();
     ledger.quarantine_parked += broker->quarantine_pen_size();
   }
-  ledger.link_shed = overlay.link_counters().events_shed;
+  ledger.shed[health::ShedReason::LinkQueue] +=
+      overlay.link_counters().events_shed;
   ledger.undeliverable = overlay.network().undeliverable();
   return ledger;
 }
 
 util::TextTable shed_table(const ShedLedger& ledger) {
   util::TextTable table{{"Conservation ledger", "Count"}};
-  const auto row = [&](const char* name, std::uint64_t value) {
-    table.add_row({name, std::to_string(value)});
+  const auto row = [&](std::string name, std::uint64_t value) {
+    table.add_row({std::move(name), std::to_string(value)});
   };
   row("Events published", ledger.published);
   row("Events delivered (stage 0)", ledger.delivered);
-  row("Shed: link queue full", ledger.link_shed);
-  row("Shed: grace pen evicted", ledger.pen_dropped);
-  row("Shed: quarantine pen evicted", ledger.quarantine_dropped);
-  row("Shed: stall inbox evicted", ledger.stall_dropped);
-  row("Shed: durable buffer evicted", ledger.buffer_overflows);
+  for (std::size_t i = 0; i < health::kShedReasons; ++i) {
+    const auto reason = static_cast<health::ShedReason>(i);
+    row("Shed: " + std::string{health::to_string(reason)}, ledger.shed[reason]);
+  }
   row("Parked in quarantine pens", ledger.quarantine_parked);
   row("Undeliverable (dead peers)", ledger.undeliverable);
   // Fan-out makes this signed: delivered counts per-subscriber copies, so

@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "cake/health/bounded_pen.hpp"
 #include "cake/index/aggregate.hpp"
 #include "cake/index/sharded.hpp"
 #include "cake/routing/overlay.hpp"
@@ -112,19 +113,6 @@ struct StageSummary {
 [[nodiscard]] util::TextTable aggregation_table(
     const std::vector<index::AggregateStats>& brokers);
 
-/// Renders the false-positive attribution rollup from traced journeys:
-/// per weakened attribute, the spurious stage-0 deliveries charged to it
-/// and the spurious upstream broker hops its false positives travelled.
-/// Rows ranked by delivery count (the paper's "which attribute do we pay
-/// for weakening" question); a totals row closes the table.
-[[nodiscard]] util::TextTable attribution_table(const trace::Attribution& attribution);
-
-/// Renders per-stage rollups computed from traces alone — the Figure-7 MR
-/// curve rebuilt from journeys instead of node counters. Cross-checking
-/// this against `stage_table` validates the trace pipeline end to end.
-[[nodiscard]] util::TextTable trace_stage_table(
-    const std::vector<trace::StageRollup>& rollups);
-
 /// Renders the link-layer resilience rollup: retransmissions, sheds,
 /// duplicates suppressed, failure-detector verdicts, stream resets. Feed it
 /// `Overlay::link_counters()` (or any per-node `link_counters()`); pair it
@@ -133,32 +121,25 @@ struct StageSummary {
 [[nodiscard]] util::TextTable link_table(const link::LinkCounters& counters,
                                          std::uint64_t reparents = 0);
 
-/// Unified drop accounting (DESIGN.md §15). Every place the system can
-/// intentionally lose or park an event — link queue shedding, grace-pen
-/// eviction, slow-child quarantine, stalled-consumer inboxes, durable
-/// buffer overflow, frames to crashed peers — rolls up here, so the
-/// conservation identity
+/// Unified drop accounting (DESIGN.md §15): every node's per-reason shed
+/// counts (each bounded pen charges its node under a health::ShedReason)
+/// summed by reason, plus the link layer's queue shed, so a new pen cannot
+/// be left out of
 ///
 ///   published == delivered + shed (by reason) + in_flight
 ///
-/// is checkable from one snapshot instead of scattered counters. The
-/// chaos overload oracle asserts it exactly; `cake_trace summary` and
-/// `cake_chaos` print the table for operators.
+/// The chaos overload oracle checks it per subscriber (fan-out makes the
+/// overlay-wide balance inexact); `cake_chaos` prints the table.
 struct ShedLedger {
-  std::uint64_t published = 0;     ///< events handed to publishers
-  std::uint64_t delivered = 0;     ///< exact-filter deliveries at stage 0
-  std::uint64_t link_shed = 0;     ///< link tx queue full, drop-newest
-  std::uint64_t pen_dropped = 0;   ///< grace-pen eviction (oldest)
-  std::uint64_t quarantine_dropped = 0;  ///< slow-child pen eviction
-  std::uint64_t quarantine_parked = 0;   ///< still penned (in-flight)
-  std::uint64_t stall_dropped = 0;       ///< stalled-consumer inbox eviction
-  std::uint64_t buffer_overflows = 0;    ///< durable detach buffer eviction
+  std::uint64_t published = 0;  ///< events handed to publishers
+  std::uint64_t delivered = 0;  ///< exact-filter deliveries at stage 0
+  health::ShedCounts shed;      ///< accounted intentional losses, by reason
+  std::uint64_t quarantine_parked = 0;  ///< still penned (in-flight)
   std::uint64_t undeliverable = 0;  ///< frames to crashed/detached nodes
 
   /// Every accounted intentional loss (excludes the parked in-flight).
   [[nodiscard]] std::uint64_t total_shed() const noexcept {
-    return link_shed + pen_dropped + quarantine_dropped + stall_dropped +
-           buffer_overflows;
+    return shed.total();
   }
 };
 

@@ -120,15 +120,9 @@ void Broker::crash() {
 }
 
 void Broker::restart() {
-  if (!crashed_) return;
+  if (!crashed_) return;  // crash() already wiped the pens and the handover
   crashed_ = false;
   ++epoch_;
-  prev_parent_ = sim::kNoNode;
-  handover_mark_ = {};
-  pen_.clear();
-  pen_armed_ = false;
-  child_health_.clear();
-  quarantine_armed_ = false;
   entries_.clear();
   by_filter_.clear();
   needed_.clear();
@@ -157,6 +151,9 @@ void Broker::restart() {
 
 BrokerStats Broker::stats() const noexcept {
   BrokerStats s = stats_;
+  s.buffer_overflows = shed_[health::ShedReason::DurableBuffer];
+  s.events_pen_dropped = shed_[health::ShedReason::GracePen];
+  s.events_quarantine_dropped = shed_[health::ShedReason::QuarantinePen];
   s.filters = entries_.size();
   s.associations = 0;
   for (const auto& [fid, entry] : entries_) s.associations += entry.leases.size();
@@ -390,7 +387,8 @@ void Broker::handle(Unsub&& msg) {
 
 void Broker::handle(Detach&& msg) {
   if (!has_durable_lease(msg.child)) return;  // nothing durable: ignore
-  detached_.try_emplace(msg.child);
+  detached_.try_emplace(msg.child, config_.durable_buffer_limit, shed_,
+                        health::ShedReason::DurableBuffer);
   if (journal_ != nullptr) {
     // Durable cursor: the subscriber resumes from the log position at the
     // moment it detached. Persisted as a Cursor record so the position
@@ -539,11 +537,7 @@ bool Broker::fan_out(const sim::Network::Payload& payload,
     // With a journal the frame is already logged; the detached subscriber's
     // cursor replay serves it on Resume. No bounded buffer needed.
     if (journal_ != nullptr) continue;
-    if (buffer->second.size() >= config_.durable_buffer_limit) {
-      buffer->second.pop_front();  // bound memory: drop the oldest
-      ++stats_.buffer_overflows;
-    }
-    buffer->second.push_back(payload);
+    buffer->second.push(payload);
   }
   return true;
 }
@@ -775,13 +769,9 @@ void Broker::renew_task(std::uint64_t epoch) {
 }
 
 void Broker::park_unmatched(const sim::Network::Payload& payload) {
-  if (pen_.size() >= config_.match_grace_limit) {
-    // Drop-oldest eviction is a real loss during a heal; count it so a
-    // chaos run can tell an undersized pen from a closed race.
-    ++stats_.events_pen_dropped;
-    pen_.pop_front();
-  }
-  pen_.push_back({payload, transport_.now()});
+  // Drop-oldest eviction is a real loss during a heal; the pen counts it so
+  // a chaos run can tell an undersized pen from a closed race.
+  pen_.push({payload, transport_.now()});
   ++stats_.events_parked;
   if (pen_armed_) return;
   pen_armed_ = true;
@@ -796,8 +786,8 @@ void Broker::pen_tick(std::uint64_t epoch) {
     return;
   }
   const sim::Time now = transport_.now();
-  std::deque<Parked> keep;
-  for (Parked& parked : pen_) {
+  // Kept frames go back in arrival order; none can overflow the pen.
+  for (Parked& parked : pen_.take()) {
     std::uint64_t event_id = 0;
     try {
       event_id = view_event(parked.payload).event_id;
@@ -808,7 +798,7 @@ void Broker::pen_tick(std::uint64_t epoch) {
     const bool rescued = fan_out(parked.payload, image_scratch_, id_, 0);
     if (rescued) ++stats_.events_rescued;
     if (!rescued && now - parked.parked_at < config_.match_grace) {
-      keep.push_back(std::move(parked));
+      pen_.push(std::move(parked));
       continue;
     }
     // Durable recovery: an event that outlived the grace window with no
@@ -834,7 +824,7 @@ void Broker::pen_tick(std::uint64_t epoch) {
         link_.send_event(parent_, parked.payload);
       } else {
         parked.parked_at = now;
-        keep.push_back(std::move(parked));
+        pen_.push(std::move(parked));
       }
       continue;
     }
@@ -843,7 +833,6 @@ void Broker::pen_tick(std::uint64_t epoch) {
                    (unsigned long long)now, (unsigned)id_,
                    rescued ? "RESCUE" : "EXPIRE");
   }
-  pen_ = std::move(keep);
   if (pen_.empty()) {
     pen_armed_ = false;
     return;
@@ -860,9 +849,14 @@ void Broker::forward_event(sim::NodeId target,
   }
   const auto [it, inserted] = child_health_.try_emplace(target);
   ChildHealth& ch = it->second;
-  if (inserted) ch.health = health::QueueHealth{config_.child_queue};
+  if (inserted) {
+    ch.health = health::QueueHealth{config_.child_queue};
+    ch.pen = {config_.quarantine_pen_limit, shed_,
+              health::ShedReason::QuarantinePen};
+  }
   if (ch.quarantined) {
-    park_quarantined(ch, payload);
+    ch.pen.push(payload);
+    ++stats_.events_quarantined;
     return;
   }
   link_.send_event(target, payload);
@@ -896,25 +890,16 @@ void Broker::quarantine_child(sim::NodeId target, ChildHealth& ch) {
   // Pull the backlog out of the link: the stream keeps only its in-flight
   // window and control traffic, so lease renewals toward the slow child
   // are never head-of-line blocked behind a wall of stalled events.
-  for (sim::Network::Payload& payload : link_.take_pending_events(target))
-    park_quarantined(ch, payload);
+  for (sim::Network::Payload& payload : link_.take_pending_events(target)) {
+    ch.pen.push(std::move(payload));
+    ++stats_.events_quarantined;
+  }
   if (quarantine_armed_) return;
   quarantine_armed_ = true;
   const std::uint64_t epoch = epoch_;
   transport_.schedule_background_after(
       config_.quarantine_drain_interval,
       [this, epoch] { quarantine_tick(epoch); });
-}
-
-void Broker::park_quarantined(ChildHealth& ch,
-                              const sim::Network::Payload& payload) {
-  if (ch.pen.size() >= config_.quarantine_pen_limit) {
-    ch.pen.pop_front();  // bound memory: drop the oldest, and account for it
-    ++ch.dropped;
-    ++stats_.events_quarantine_dropped;
-  }
-  ch.pen.push_back(payload);
-  ++stats_.events_quarantined;
 }
 
 void Broker::quarantine_tick(std::uint64_t epoch) {
@@ -929,10 +914,8 @@ void Broker::quarantine_tick(std::uint64_t epoch) {
     // further. A still-stalled child caps its link state at `low` frames;
     // a recovering one drains those, and the next tick feeds more.
     while (!ch.pen.empty() &&
-           link_.queued_events(child) < config_.child_queue.low) {
-      link_.send_event(child, ch.pen.front());
-      ch.pen.pop_front();
-    }
+           link_.queued_events(child) < config_.child_queue.low)
+      link_.send_event(child, ch.pen.pop());
     if (ch.pen.empty() &&
         link_.queued_events(child) < config_.child_queue.low) {
       if (chaos_debug())
@@ -965,11 +948,8 @@ bool Broker::take_bounce_budget(std::uint64_t event_id) {
   auto& count = bounced_[event_id];
   if (count >= kPenBounceBudget) return false;
   if (count++ == 0) {
-    bounced_order_.push_back(event_id);
-    if (bounced_order_.size() > 4 * config_.match_grace_limit) {
-      bounced_.erase(bounced_order_.front());
-      bounced_order_.pop_front();
-    }
+    if (const auto oldest = bounced_order_.push(event_id))
+      bounced_.erase(*oldest);
   }
   ++stats_.events_bounced;
   return true;
@@ -985,7 +965,9 @@ void Broker::replay_journal() {
       if (cursor->active) {
         durable_cursor_[static_cast<sim::NodeId>(cursor->subscriber)] =
             cursor->offset;
-        detached_.try_emplace(static_cast<sim::NodeId>(cursor->subscriber));
+        detached_.try_emplace(static_cast<sim::NodeId>(cursor->subscriber),
+                              config_.durable_buffer_limit, shed_,
+                              health::ShedReason::DurableBuffer);
       } else {
         durable_cursor_.erase(static_cast<sim::NodeId>(cursor->subscriber));
         detached_.erase(static_cast<sim::NodeId>(cursor->subscriber));

@@ -19,12 +19,12 @@
 //     optimization the paper mentions.
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "cake/health/bounded_pen.hpp"
 #include "cake/health/health.hpp"
 #include "cake/index/aggregate.hpp"
 #include "cake/index/sharded.hpp"
@@ -226,6 +226,11 @@ public:
     const auto it = child_health_.find(child);
     return it != child_health_.end() && it->second.quarantined;
   }
+  /// Events this broker's pens evicted, per reason (survives crash() and
+  /// restart(), like every stats() counter).
+  [[nodiscard]] const health::ShedCounts& shed_counts() const noexcept {
+    return shed_;
+  }
   /// Frames currently parked across every slow-child pen.
   [[nodiscard]] std::size_t quarantine_pen_size() const noexcept {
     std::size_t total = 0;
@@ -234,10 +239,10 @@ public:
   }
   /// Frames evicted from `child`'s pen (drop-oldest), attributable to that
   /// child alone — the per-subscriber conservation oracle needs the split
-  /// the aggregate stats_ counter cannot provide.
+  /// shed_counts() cannot provide. Wiped with the pen by crash().
   [[nodiscard]] std::uint64_t quarantine_dropped(sim::NodeId child) const noexcept {
     const auto it = child_health_.find(child);
-    return it == child_health_.end() ? 0 : it->second.dropped;
+    return it == child_health_.end() ? 0 : it->second.pen.evicted();
   }
 
   /// Advertised schema for `type_name`, if any reached this broker.
@@ -402,7 +407,6 @@ private:
   /// Opens the pen: pulls the queued event frames back out of the link
   /// (control stays) and arms the drain tick.
   void quarantine_child(sim::NodeId target, ChildHealth& ch);
-  void park_quarantined(ChildHealth& ch, const sim::Network::Payload& payload);
   /// Paced drain: each tick feeds penned frames back into the link until
   /// its queue reaches the low watermark; lifts the quarantine when the
   /// pen empties.
@@ -464,17 +468,22 @@ private:
   std::unordered_map<filter::ConjunctiveFilter, std::size_t> needed_;  // refcounts
   std::unordered_set<filter::ConjunctiveFilter> active_;  // submitted upward
   util::StringMap<weaken::StageSchema> schemas_;
-  // Event frames per detached durable subscriber, oldest first. Frames are
-  // refcounted, so buffering is a pointer bump and Resume replays the very
-  // bytes the publisher framed (event id, published_at, trace id intact).
-  std::unordered_map<sim::NodeId, std::deque<sim::Network::Payload>> detached_;
-  // Grace pen: zero-match frames awaiting a table heal, oldest first.
-  // Payloads are refcounted, so parking is a pointer bump, not a copy.
+  // Every pen below charges its evictions here; never reset.
+  health::ShedCounts shed_;
+  // Event frames per detached durable subscriber (durable_buffer_limit).
+  // Frames are refcounted, so buffering is a pointer bump and Resume
+  // replays the very bytes the publisher framed (event id, published_at,
+  // trace id intact).
+  std::unordered_map<sim::NodeId, health::BoundedPen<sim::Network::Payload>>
+      detached_;
+  // Grace pen: zero-match frames awaiting a table heal. Payloads are
+  // refcounted, so parking is a pointer bump, not a copy.
   struct Parked {
     sim::Network::Payload payload;
     sim::Time parked_at;
   };
-  std::deque<Parked> pen_;
+  health::BoundedPen<Parked> pen_{config_.match_grace_limit, shed_,
+                                  health::ShedReason::GracePen};
   bool pen_armed_ = false;
   // Durable recovery bounce (journal mode only): per-event-id count of
   // hand-backs to the parent. A budget (not bounce-once) because the
@@ -484,7 +493,7 @@ private:
   // false positive burns its budget and drops instead of ping-ponging
   // forever. Bounded FIFO; RAM state, wiped by crash() like any table.
   std::unordered_map<std::uint64_t, std::uint32_t> bounced_;
-  std::deque<std::uint64_t> bounced_order_;
+  health::BoundedPen<std::uint64_t> bounced_order_{4 * config_.match_grace_limit};
 
   // Slow-child quarantine state (config_.quarantine). One entry per child
   // the fan-out has touched; RAM state, wiped by crash() like any table.
@@ -492,8 +501,7 @@ private:
     health::QueueHealth health;
     sim::Time above_since = 0;  // 0 = not currently above the high mark
     bool quarantined = false;
-    std::uint64_t dropped = 0;  // pen evictions charged to this child
-    std::deque<sim::Network::Payload> pen;  // oldest first, refcounted
+    health::BoundedPen<sim::Network::Payload> pen;  // refcounted frames
   };
   std::unordered_map<sim::NodeId, ChildHealth> child_health_;
   bool quarantine_armed_ = false;

@@ -173,11 +173,10 @@ void SubscriberNode::unstall() {
     std::fprintf(stderr, "[dbg] t=%llu sub=%u UNSTALL parked=%zu\n",
                  (unsigned long long)transport_.now(), (unsigned)id_,
                  stall_inbox_.size());
-  // Drain through the normal delivery path; swap first so a re-entrant
-  // stall() mid-drain parks into a fresh inbox instead of this loop.
-  std::deque<std::pair<sim::NodeId, sim::Network::Payload>> parked;
-  parked.swap(stall_inbox_);
-  for (auto& [from, payload] : parked) on_packet(from, payload);
+  // Drain through the normal delivery path; take the frames first so a
+  // re-entrant stall() mid-drain parks into the emptied inbox instead of
+  // this loop.
+  for (auto& [from, payload] : stall_inbox_.take()) on_packet(from, payload);
 }
 
 void SubscriberNode::unsubscribe(std::uint64_t token) {
@@ -211,13 +210,10 @@ void SubscriberNode::on_packet(sim::NodeId from,
   dead_hosts_.erase(from);
   if (stalled_ && packet_class(payload) == kEventPacketClass) {
     // Stalled consumer: the protocol stack is alive but the application
-    // stopped draining. Park the frame in the bounded inbox; control
-    // traffic (joins, Expired, renewal replies) is handled normally.
-    if (stall_inbox_.size() >= config_.stall_inbox_limit) {
-      stall_inbox_.pop_front();  // bound memory: drop the oldest, counted
-      ++stats_.stall_inbox_dropped;
-    }
-    stall_inbox_.emplace_back(from, payload);
+    // stopped draining. Park the frame in the bounded inbox (drop-oldest,
+    // counted); control traffic (joins, Expired, renewal replies) is
+    // handled normally.
+    stall_inbox_.push({from, payload});
     ++stats_.events_stalled;
     return;
   }
@@ -297,12 +293,7 @@ void SubscriberNode::on_packet(sim::NodeId from,
     if (config_.dedup_events) {
       // Global exactly-once gate: the link layer already dedups per stream,
       // but a re-parent can briefly leave two paths carrying the same event.
-      if (!seen_events_.insert(ev->event_id).second) return;
-      seen_order_.push_back(ev->event_id);
-      if (seen_order_.size() > config_.dedup_capacity) {
-        seen_events_.erase(seen_order_.front());
-        seen_order_.pop_front();
-      }
+      if (!seen_events_.insert(ev->event_id)) return;
     }
     bool delivered = false;
     for (auto& [token, sub] : subs_) {
@@ -313,7 +304,7 @@ void SubscriberNode::on_packet(sim::NodeId from,
         // Composite subscription: fire at most once per published event,
         // whether the disjuncts matched in one packet or the event arrived
         // again over another disjunct's path.
-        if (!group_seen_[sub.group].insert(ev->event_id).second) continue;
+        if (!group_seen_.insert({sub.group, ev->event_id})) continue;
       }
       if (sub.handler) sub.handler(ev->image);
     }

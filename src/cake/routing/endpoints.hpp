@@ -9,12 +9,12 @@
 // their G_c schemas and publishes event images to the root.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "cake/health/bounded_pen.hpp"
 #include "cake/journal/journal.hpp"
 #include "cake/link/link.hpp"
 #include "cake/routing/protocol.hpp"
@@ -53,9 +53,10 @@ struct SubscriberConfig {
   /// this extends it to transient dual-path duplicates during re-parenting,
   /// which is what makes reliable-mode delivery exactly-once.
   bool dedup_events = false;
-  /// Seen-set bound (FIFO eviction). Exactly-once only holds for a
-  /// duplicate arriving within this many events of the original: size it
-  /// above the maximum dual-path backlog the deployment can accumulate
+  /// Seen-set bound (FIFO eviction), for this global set and for the
+  /// composite groups' (group, event id) set alike. Exactly-once only holds
+  /// for a duplicate arriving within this many events of the original: size
+  /// it above the maximum dual-path backlog the deployment can accumulate
   /// (longest partition × event rate, plus the retransmission queue), or
   /// a late duplicate outlives the entry and is re-delivered.
   std::size_t dedup_capacity = 1 << 16;
@@ -152,7 +153,19 @@ public:
   void unsubscribe(std::uint64_t token);
 
   [[nodiscard]] sim::NodeId id() const noexcept { return id_; }
-  [[nodiscard]] const SubscriberStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] SubscriberStats stats() const noexcept {
+    SubscriberStats s = stats_;
+    s.stall_inbox_dropped = shed_[health::ShedReason::StallInbox];
+    return s;
+  }
+  /// Events this process's stall inbox evicted, per reason.
+  [[nodiscard]] const health::ShedCounts& shed_counts() const noexcept {
+    return shed_;
+  }
+  /// (group, event id) pairs the composite-group dedup remembers.
+  [[nodiscard]] std::size_t group_dedup_size() const noexcept {
+    return group_seen_.size();
+  }
   [[nodiscard]] const link::LinkCounters& link_counters() const noexcept {
     return link_.counters();
   }
@@ -222,20 +235,29 @@ private:
   // they are not re-watched; any packet from one revives it.
   std::unordered_set<sim::NodeId> dead_hosts_;
   std::unordered_map<std::uint64_t, Sub> subs_;
-  // Bounded global event-id dedup (config_.dedup_events), FIFO eviction.
-  std::unordered_set<std::uint64_t> seen_events_;
-  std::deque<std::uint64_t> seen_order_;
-  // Event ids already handled per composite group (multi-path dedup).
-  std::unordered_map<std::uint64_t, std::unordered_set<std::uint64_t>>
-      group_seen_;
+  // Bounded global event-id dedup (config_.dedup_events).
+  health::SeenSet<std::uint64_t> seen_events_{config_.dedup_capacity};
+  // (group, event id) pairs already handled by a composite group
+  // (multi-path dedup), bounded like seen_events_.
+  using GroupEvent = std::pair<std::uint64_t, std::uint64_t>;
+  struct GroupEventHash {
+    std::size_t operator()(const GroupEvent& key) const noexcept {
+      return key.first * 0x9e3779b97f4a7c15ULL ^ key.second;
+    }
+  };
+  health::SeenSet<GroupEvent, GroupEventHash> group_seen_{
+      config_.dedup_capacity};
   std::uint64_t next_token_ = 1;
   std::uint64_t next_group_ = 1;
   bool detached_ = false;
   bool halted_ = false;
   bool stalled_ = false;
-  // Event frames parked while stalled, oldest first, with their sender
-  // (the drain re-enters on_packet, which needs `from` for tracing).
-  std::deque<std::pair<sim::NodeId, sim::Network::Payload>> stall_inbox_;
+  health::ShedCounts shed_;  // charged by stall_inbox_; never reset
+  // Event frames parked while stalled, with their sender (the drain
+  // re-enters on_packet, which needs `from` for tracing).
+  health::BoundedPen<std::pair<sim::NodeId, sim::Network::Payload>>
+      stall_inbox_{config_.stall_inbox_limit, shed_,
+                   health::ShedReason::StallInbox};
   trace::Tracer* tracer_ = nullptr;
   SubscriberStats stats_;
   util::RunningStats latency_;

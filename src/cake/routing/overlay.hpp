@@ -101,9 +101,6 @@ public:
     return threaded_ ? static_cast<runtime::Transport&>(*threaded_)
                      : static_cast<runtime::Transport&>(transport_);
   }
-  [[nodiscard]] bool threaded_backend() const noexcept {
-    return threaded_ != nullptr;
-  }
 
   /// Lane owning `node` on the threaded backend (0 under Sim — one lane).
   [[nodiscard]] std::size_t lane_of(sim::NodeId node) const noexcept {
@@ -172,12 +169,6 @@ public:
   [[nodiscard]] link::LinkCounters link_counters() const noexcept;
   /// Total parent-death re-attachments across the broker hierarchy.
   [[nodiscard]] std::uint64_t total_reparents() const noexcept;
-
-  /// The broker's journal / backing storage (Durability::Journal only;
-  /// nullptr otherwise or for non-broker ids). Tests inspect and corrupt
-  /// these directly.
-  [[nodiscard]] journal::Journal* journal_for(sim::NodeId node) noexcept;
-  [[nodiscard]] journal::MemStorage* storage_for(sim::NodeId node) noexcept;
 
 private:
   OverlayConfig config_;

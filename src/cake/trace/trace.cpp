@@ -1,7 +1,6 @@
 #include "cake/trace/trace.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace cake::trace {
 
@@ -13,40 +12,6 @@ std::string_view to_string(SpanKind kind) noexcept {
     case SpanKind::Retransmit: return "retransmit";
   }
   return "?";
-}
-
-SpanRing::SpanRing(std::size_t capacity) : capacity_(capacity) {
-  if (capacity_ == 0)
-    throw std::invalid_argument{"SpanRing: capacity must be positive"};
-  slots_.reserve(std::min<std::size_t>(capacity_, 1024));
-}
-
-void SpanRing::push(TraceSpan span) {
-  if (slots_.size() < capacity_) {
-    slots_.push_back(std::move(span));
-  } else {
-    slots_[pushed_ % capacity_] = std::move(span);
-  }
-  ++pushed_;
-}
-
-std::size_t SpanRing::size() const noexcept { return slots_.size(); }
-
-std::uint64_t SpanRing::overwritten() const noexcept {
-  return pushed_ - slots_.size();
-}
-
-std::vector<TraceSpan> SpanRing::snapshot() const {
-  std::vector<TraceSpan> out;
-  out.reserve(slots_.size());
-  if (slots_.size() < capacity_) {
-    out = slots_;
-    return out;
-  }
-  const std::size_t head = pushed_ % capacity_;  // oldest live slot
-  for (std::size_t i = 0; i < capacity_; ++i)
-    out.push_back(slots_[(head + i) % capacity_]);
-  return out;
 }
 
 Tracer::Tracer(TraceConfig config) : config_(config) {
@@ -76,17 +41,14 @@ TraceId Tracer::stamp(std::uint64_t event_id) {
 
 void Tracer::emit(TraceSpan span) {
   span.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  auto [it, inserted] =
-      rings_.try_emplace(span.node, SpanRing{config_.ring_capacity});
-  it->second.push(std::move(span));
+  rings_.try_emplace(span.node, config_.ring_capacity)
+      .first->second.push(std::move(span));
 }
 
 std::vector<TraceSpan> Tracer::spans() const {
   std::vector<TraceSpan> all;
-  for (const auto& [node, ring] : rings_) {
-    const std::vector<TraceSpan> part = ring.snapshot();
-    all.insert(all.end(), part.begin(), part.end());
-  }
+  for (const auto& [node, ring] : rings_)
+    all.insert(all.end(), ring.begin(), ring.end());
   std::sort(all.begin(), all.end(),
             [](const TraceSpan& a, const TraceSpan& b) { return a.seq < b.seq; });
   return all;
@@ -95,8 +57,8 @@ std::vector<TraceSpan> Tracer::spans() const {
 TracerStats Tracer::stats() const noexcept {
   TracerStats s;
   for (const auto& [node, ring] : rings_) {
-    s.spans_emitted += ring.pushed();
-    s.spans_overwritten += ring.overwritten();
+    s.spans_emitted += ring.size() + ring.evicted();
+    s.spans_overwritten += ring.evicted();
   }
   s.events_sampled = events_sampled_;
   s.events_skipped = events_skipped_;

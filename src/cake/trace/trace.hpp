@@ -23,8 +23,8 @@
 //
 // Cost model: tracing is zero-cost when disabled (nodes hold a null
 // `Tracer*`; untraced events carry trace id 0 and take one branch per
-// hop), bounded when enabled (fixed-capacity rings overwrite the oldest
-// span; overwrites are counted, never silently lost).
+// hop), bounded when enabled (per-node rings evict the oldest span;
+// evictions are counted, never silently lost).
 #pragma once
 
 #include <atomic>
@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "cake/health/bounded_pen.hpp"
 #include "cake/sim/sim.hpp"
 
 namespace cake::trace {
@@ -87,35 +88,16 @@ struct TraceConfig {
   std::size_t ring_capacity = 4096;
 };
 
-/// Fixed-capacity span ring. Oldest spans are overwritten once full —
-/// bounded memory is the contract — and every overwrite is counted so the
-/// collector can tell "journey truncated by the ring" from "journey
-/// truncated by the network".
-class SpanRing {
-public:
-  explicit SpanRing(std::size_t capacity);
-
-  void push(TraceSpan span);
-
-  /// Live spans, oldest first.
-  [[nodiscard]] std::vector<TraceSpan> snapshot() const;
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t size() const noexcept;
-  /// Spans overwritten so far (pushed - retained).
-  [[nodiscard]] std::uint64_t overwritten() const noexcept;
-  [[nodiscard]] std::uint64_t pushed() const noexcept { return pushed_; }
-
-private:
-  std::size_t capacity_;
-  std::vector<TraceSpan> slots_;
-  std::uint64_t pushed_ = 0;
-};
+/// A node's span ring: a bounded drop-oldest pen. Oldest spans are evicted
+/// once full — bounded memory is the contract — and every eviction is
+/// counted so the collector can tell "journey truncated by the ring" from
+/// "journey truncated by the network".
+using SpanRing = health::BoundedPen<TraceSpan>;
 
 /// Tracer-wide counters.
 struct TracerStats {
   std::uint64_t spans_emitted = 0;     ///< accepted into some ring
-  std::uint64_t spans_overwritten = 0; ///< evicted by ring wrap-around
+  std::uint64_t spans_overwritten = 0; ///< evicted by a full ring
   std::uint64_t events_sampled = 0;    ///< publish-edge sampling decisions: yes
   std::uint64_t events_skipped = 0;    ///< publish-edge sampling decisions: no
 };
@@ -146,11 +128,6 @@ public:
   [[nodiscard]] std::vector<TraceSpan> spans() const;
 
   [[nodiscard]] TracerStats stats() const noexcept;
-
-  /// Per-node ring views (node id -> ring), for diagnostics.
-  [[nodiscard]] const std::map<sim::NodeId, SpanRing>& rings() const noexcept {
-    return rings_;
-  }
 
 private:
   TraceConfig config_;

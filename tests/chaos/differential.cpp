@@ -476,7 +476,7 @@ TrialResult run_trial(const HarnessConfig& cfg, const sim::FaultPlan& plan) {
     }
   }
 
-  // (f–i) overload oracle: graceful degradation, not fault masking.
+  // (f–j) overload oracle: graceful degradation, not fault masking.
   if (cfg.overload) {
     for (const auto& broker : overlay.brokers()) {
       const routing::BrokerStats bs = broker->stats();
@@ -571,6 +571,30 @@ TrialResult run_trial(const HarnessConfig& cfg, const sim::FaultPlan& plan) {
     }
 
     result.ledger = metrics::shed_ledger(overlay);
+
+    // (j) the reason-derived ledger agrees with the per-child split: every
+    // quarantine eviction is charged to exactly one (broker, child) pen,
+    // and the parked figure is the pens' own depth.
+    std::uint64_t per_child = 0;
+    std::uint64_t parked = 0;
+    for (const auto& broker : overlay.brokers()) {
+      parked += broker->quarantine_pen_size();
+      for (const auto& child : overlay.brokers())
+        per_child += broker->quarantine_dropped(child->id());
+      for (const auto& child : overlay.subscribers())
+        per_child += broker->quarantine_dropped(child->id());
+    }
+    const std::uint64_t ledger_dropped =
+        result.ledger.shed[health::ShedReason::QuarantinePen];
+    if (per_child != ledger_dropped ||
+        parked != result.ledger.quarantine_parked) {
+      std::ostringstream err;
+      err << "overload: ledger disagrees with the pens: " << ledger_dropped
+          << " quarantine drops vs " << per_child << " per child, "
+          << result.ledger.quarantine_parked << " parked vs " << parked
+          << " penned";
+      return fail(err.str());
+    }
   }
 
   result.link = overlay.link_counters();

@@ -409,7 +409,7 @@ TEST(ChaosOverload, StalledSubscriberIsQuarantinedAndEveryLossAccounted) {
   // per-subscriber oracle asserted: nothing parked, losses only where the
   // pens say so.
   EXPECT_EQ(result.ledger.quarantine_parked, 0u);
-  EXPECT_EQ(result.ledger.link_shed, 0u);
+  EXPECT_EQ(result.ledger.shed[health::ShedReason::LinkQueue], 0u);
 }
 
 TEST(ChaosOverload, FiftyStormSeedsDegradeGracefully) {
@@ -430,6 +430,24 @@ TEST(ChaosOverload, FiftyStormSeedsDegradeGracefully) {
   // somewhere: pens must have opened and stall inboxes must have parked.
   EXPECT_GT(quarantines, 0u);
   EXPECT_GT(stalled_frames, 0u);
+}
+
+// The default pen never fills, so the sweep above sheds nothing. An
+// undersized pen sheds for real: every drop must be charged to the stalled
+// child (check h) and to the ledger's quarantine row (check j), and the
+// healthy subscribers must still be exact (check g).
+TEST(ChaosOverload, UndersizedPenShedsAreChargedToTheLedger) {
+  HarnessConfig cfg;
+  cfg.overload = true;
+  cfg.quarantine_pen_limit = 8;
+  std::uint64_t quarantine_shed = 0;
+  for (std::uint64_t seed = 0; seed < kSweepSeeds; ++seed) {
+    const FaultPlan plan = chaos::overload_plan_for(seed, cfg);
+    const TrialResult result = chaos::run_trial(cfg, plan);
+    ASSERT_TRUE(result.ok) << "seed " << seed << ": " << result.failure;
+    quarantine_shed += result.ledger.shed[health::ShedReason::QuarantinePen];
+  }
+  EXPECT_GT(quarantine_shed, 0u);
 }
 
 TEST(ChaosSweep, InjectedRejoinBugIsCaughtAndShrinks) {

@@ -40,10 +40,10 @@ TEST(SpanRing, KeepsNewestAndCountsOverwrites) {
 
   EXPECT_EQ(ring.capacity(), 3u);
   EXPECT_EQ(ring.size(), 3u);
-  EXPECT_EQ(ring.pushed(), 5u);
-  EXPECT_EQ(ring.overwritten(), 2u);
+  EXPECT_EQ(ring.size() + ring.evicted(), 5u);  // every push accounted
+  EXPECT_EQ(ring.evicted(), 2u);
 
-  const std::vector<trace::TraceSpan> spans = ring.snapshot();
+  const std::vector<trace::TraceSpan> spans{ring.begin(), ring.end()};
   ASSERT_EQ(spans.size(), 3u);
   // Oldest first, and the two oldest (seq 0, 1) were evicted.
   EXPECT_EQ(spans[0].seq, 2u);
@@ -55,8 +55,8 @@ TEST(SpanRing, PartialFill) {
   trace::SpanRing ring{8};
   ring.push(make_span(1, trace::SpanKind::Publish, 4, sim::kNoNode, 0, true, 0));
   EXPECT_EQ(ring.size(), 1u);
-  EXPECT_EQ(ring.overwritten(), 0u);
-  EXPECT_EQ(ring.snapshot().size(), 1u);
+  EXPECT_EQ(ring.evicted(), 0u);
+  EXPECT_EQ(std::vector<trace::TraceSpan>(ring.begin(), ring.end()).size(), 1u);
 }
 
 TEST(Tracer, SamplingIsPureAndPeriodic) {

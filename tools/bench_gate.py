@@ -45,6 +45,13 @@ import json
 import os
 import sys
 
+# The conservation ledger's reasons (health::ShedReason, in ledger order).
+# bench_overload writes one count per reason as "shed_" + the reason's
+# label with spaces as underscores.
+SHED_REASONS = ("link_queue_full", "grace_pen_evicted",
+                "quarantine_pen_evicted", "stall_inbox_evicted",
+                "durable_buffer_evicted")
+
 # One gate rule: how a metric at `path` may move between baseline and
 # current. `direction` is which way is BAD for the metric; `rel` is the
 # allowed relative slip, `abs_slack` an additive floor so near-zero
@@ -130,6 +137,12 @@ RULES = {
         # leaking its backlog blows well past this.
         dict(key="arms", match=("multiplier",), metric="peak_rss_kb",
              direction="higher", rel=0.25, abs_slack=10240.0),
+    ] + [
+        # Each reason's share of the total is deterministic too: a drop
+        # that moves between reasons fails even when total_shed holds.
+        dict(key="arms", match=("multiplier",), metric="shed_" + reason,
+             direction="exact", rel=0.0, abs_slack=0.0)
+        for reason in SHED_REASONS
     ],
     "BENCH_index.json": [
         # A4 range-heavy arms as Google Benchmark writes them: one entry per
@@ -389,7 +402,10 @@ def selftest():
              "healthy_delivered": 8700, "victim_delivered": 250,
              "total_shed": 50, "expired_notices": 0, "rejoins": 0,
              "quarantines": 1, "events_per_sec": 40000.0,
-             "peak_rss_kb": 51200},
+             "peak_rss_kb": 51200, "shed_link_queue_full": 0,
+             "shed_grace_pen_evicted": 0, "shed_quarantine_pen_evicted": 30,
+             "shed_stall_inbox_evicted": 20,
+             "shed_durable_buffer_evicted": 0},
         ],
     }
 
@@ -405,6 +421,15 @@ def selftest():
          not all(overload_verdicts(healthy_delivered=8699))),
         ("overload shed-ledger drift fails",
          not all(overload_verdicts(total_shed=51))),
+        ("overload drop moving between reasons fails",
+         not all(overload_verdicts(shed_quarantine_pen_evicted=29,
+                                   shed_stall_inbox_evicted=21))),
+        ("overload baseline without per-reason counts skips them",
+         all(ok for ok, _ in compare_file(
+             "BENCH_overload.json",
+             {"arms": [{k: v for k, v in overload["arms"][0].items()
+                        if not k.startswith("shed_")}]},
+             overload))),
         ("overload lease expiry fails",
          not all(overload_verdicts(expired_notices=1))),
         ("overload goodput jitter passes",
