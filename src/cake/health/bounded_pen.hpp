@@ -1,8 +1,6 @@
-// Bounded drop-oldest pens (DESIGN.md §15): every memory that parks or
-// remembers events under a size bound is one `BoundedPen<T>`, which owns
-// the capacity, the eviction and its count. Frame pens charge each eviction
-// to their node's `ShedCounts` under a `ShedReason`; id pens carry none,
-// since forgetting an id loses no event.
+// Bounded drop-oldest pens (DESIGN.md §15) and the per-reason shed counts
+// their evictions charge. Id pens (dedup windows) carry no reason:
+// forgetting an id loses no event.
 #pragma once
 
 #include <array>

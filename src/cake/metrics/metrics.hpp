@@ -122,9 +122,8 @@ struct StageSummary {
                                          std::uint64_t reparents = 0);
 
 /// Unified drop accounting (DESIGN.md §15): every node's per-reason shed
-/// counts (each bounded pen charges its node under a health::ShedReason)
-/// summed by reason, plus the link layer's queue shed, so a new pen cannot
-/// be left out of
+/// counts plus the link layer's queue shed, summed by health::ShedReason,
+/// so a new pen cannot be left out of
 ///
 ///   published == delivered + shed (by reason) + in_flight
 ///

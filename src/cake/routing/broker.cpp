@@ -962,15 +962,14 @@ void Broker::replay_journal() {
     if (rec.kind == journal::RecordKind::Cursor) {
       const auto cursor = journal::Journal::parse_cursor(rec.payload);
       if (!cursor) return;  // unreachable past the CRC, but stay safe
+      const auto subscriber = static_cast<sim::NodeId>(cursor->subscriber);
       if (cursor->active) {
-        durable_cursor_[static_cast<sim::NodeId>(cursor->subscriber)] =
-            cursor->offset;
-        detached_.try_emplace(static_cast<sim::NodeId>(cursor->subscriber),
-                              config_.durable_buffer_limit, shed_,
+        durable_cursor_[subscriber] = cursor->offset;
+        detached_.try_emplace(subscriber, config_.durable_buffer_limit, shed_,
                               health::ShedReason::DurableBuffer);
       } else {
-        durable_cursor_.erase(static_cast<sim::NodeId>(cursor->subscriber));
-        detached_.erase(static_cast<sim::NodeId>(cursor->subscriber));
+        durable_cursor_.erase(subscriber);
+        detached_.erase(subscriber);
       }
       return;
     }

@@ -226,8 +226,7 @@ public:
     const auto it = child_health_.find(child);
     return it != child_health_.end() && it->second.quarantined;
   }
-  /// Events this broker's pens evicted, per reason (survives crash() and
-  /// restart(), like every stats() counter).
+  /// Events this broker's pens evicted, per reason (survives crash()).
   [[nodiscard]] const health::ShedCounts& shed_counts() const noexcept {
     return shed_;
   }
@@ -470,10 +469,9 @@ private:
   util::StringMap<weaken::StageSchema> schemas_;
   // Every pen below charges its evictions here; never reset.
   health::ShedCounts shed_;
-  // Event frames per detached durable subscriber (durable_buffer_limit).
-  // Frames are refcounted, so buffering is a pointer bump and Resume
-  // replays the very bytes the publisher framed (event id, published_at,
-  // trace id intact).
+  // Event frames per detached durable subscriber. Frames are refcounted,
+  // so buffering is a pointer bump and Resume replays the very bytes the
+  // publisher framed (event id, published_at, trace id intact).
   std::unordered_map<sim::NodeId, health::BoundedPen<sim::Network::Payload>>
       detached_;
   // Grace pen: zero-match frames awaiting a table heal. Payloads are

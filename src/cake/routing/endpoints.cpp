@@ -173,9 +173,8 @@ void SubscriberNode::unstall() {
     std::fprintf(stderr, "[dbg] t=%llu sub=%u UNSTALL parked=%zu\n",
                  (unsigned long long)transport_.now(), (unsigned)id_,
                  stall_inbox_.size());
-  // Drain through the normal delivery path; take the frames first so a
-  // re-entrant stall() mid-drain parks into the emptied inbox instead of
-  // this loop.
+  // Drain through the normal delivery path; taking the frames first lets a
+  // re-entrant stall() mid-drain park into the emptied inbox.
   for (auto& [from, payload] : stall_inbox_.take()) on_packet(from, payload);
 }
 
@@ -296,6 +295,9 @@ void SubscriberNode::on_packet(sim::NodeId from,
       if (!seen_events_.insert(ev->event_id)) return;
     }
     bool delivered = false;
+    // Composite groups decided for this packet: the bounded window alone
+    // may evict a group's entry before its next disjunct matches.
+    std::vector<std::uint64_t> groups_done;
     for (auto& [token, sub] : subs_) {
       if (!sub.exact.matches(ev->image, registry_)) continue;
       if (sub.local && !sub.local(ev->image)) continue;
@@ -303,7 +305,11 @@ void SubscriberNode::on_packet(sim::NodeId from,
       if (sub.group != 0) {
         // Composite subscription: fire at most once per published event,
         // whether the disjuncts matched in one packet or the event arrived
-        // again over another disjunct's path.
+        // again over another disjunct's path (within the dedup window).
+        if (std::find(groups_done.begin(), groups_done.end(), sub.group) !=
+            groups_done.end())
+          continue;
+        groups_done.push_back(sub.group);
         if (!group_seen_.insert({sub.group, ev->event_id})) continue;
       }
       if (sub.handler) sub.handler(ev->image);

@@ -237,8 +237,7 @@ private:
   std::unordered_map<std::uint64_t, Sub> subs_;
   // Bounded global event-id dedup (config_.dedup_events).
   health::SeenSet<std::uint64_t> seen_events_{config_.dedup_capacity};
-  // (group, event id) pairs already handled by a composite group
-  // (multi-path dedup), bounded like seen_events_.
+  // (group, event id) pairs a composite group fired for (multi-path dedup).
   using GroupEvent = std::pair<std::uint64_t, std::uint64_t>;
   struct GroupEventHash {
     std::size_t operator()(const GroupEvent& key) const noexcept {

@@ -1,6 +1,7 @@
 #include "cake/trace/trace.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace cake::trace {
 
@@ -16,6 +17,8 @@ std::string_view to_string(SpanKind kind) noexcept {
 
 Tracer::Tracer(TraceConfig config) : config_(config) {
   if (config_.sample_period == 0) config_.sample_period = 1;
+  if (config_.ring_capacity == 0)
+    throw std::invalid_argument{"Tracer: ring_capacity must be positive"};
 }
 
 bool Tracer::sampled(std::uint64_t event_id) const noexcept {

@@ -84,14 +84,13 @@ struct TraceConfig {
   /// decision is a pure function of the event id, made once at the
   /// publisher; brokers never re-decide.
   std::uint64_t sample_period = 1;
-  /// Spans retained per node before the oldest are overwritten.
+  /// Spans retained per node before the oldest are evicted; must be > 0.
   std::size_t ring_capacity = 4096;
 };
 
-/// A node's span ring: a bounded drop-oldest pen. Oldest spans are evicted
-/// once full — bounded memory is the contract — and every eviction is
-/// counted so the collector can tell "journey truncated by the ring" from
-/// "journey truncated by the network".
+/// A node's span ring: oldest spans are evicted once full (bounded memory)
+/// and every eviction is counted, so the collector can tell "journey
+/// truncated by the ring" from "journey truncated by the network".
 using SpanRing = health::BoundedPen<TraceSpan>;
 
 /// Tracer-wide counters.

@@ -287,5 +287,47 @@ TEST(Composite, GroupDedupStaysBoundedAndStillFiresOncePerEvent) {
     EXPECT_EQ(titles[static_cast<std::size_t>(i)], "t-" + std::to_string(i));
 }
 
+// The in-packet case does not depend on the window: with dedup_capacity 0
+// (dedup off, valid on best-effort links) every window insert evicts
+// itself, and a window smaller than the number of groups one event hits
+// can evict a group's entry before subs_ (unordered) visits the group's
+// next disjunct. Each group must still fire once per event.
+TEST(Composite, OverlappingDisjunctsFireOnceWhateverTheWindow) {
+  constexpr std::size_t kGroups = 12;
+  for (const std::size_t capacity : {std::size_t{0}, std::size_t{1}}) {
+    OverlayConfig config = single_broker();
+    ASSERT_EQ(config.link.reliability, link::Reliability::BestEffort);
+    config.subscriber.dedup_capacity = capacity;
+    Fx fx{config};
+    auto& sub = fx.overlay.add_subscriber();
+    std::vector<std::vector<std::string>> fired(kGroups);
+    for (std::size_t g = 0; g < kGroups; ++g) {
+      sub.subscribe_any(
+          {FilterBuilder{"Publication"}.where("year", Op::Eq, Value{2002}).build(),
+           FilterBuilder{"Publication"}
+               .where("conference", Op::Eq, Value{"ICDCS"})
+               .build(),
+           FilterBuilder{"Publication"}
+               .where("author", Op::Eq, Value{"Eugster"})
+               .build()},
+          [&fired, g](const EventImage& e) {
+            fired[g].emplace_back(e.find("title")->as_string());
+          });
+    }
+    fx.overlay.run();
+
+    std::vector<std::string> expected;
+    for (int i = 0; i < 6; ++i) {
+      expected.push_back("t-" + std::to_string(i));
+      fx.publisher->publish(pub_event(2002, expected.back()));
+      fx.overlay.run();
+    }
+    for (std::size_t g = 0; g < kGroups; ++g)
+      EXPECT_EQ(fired[g], expected)
+          << "dedup_capacity " << capacity << ", group " << g;
+    EXPECT_LE(sub.group_dedup_size(), capacity);
+  }
+}
+
 }  // namespace
 }  // namespace cake

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -57,6 +58,16 @@ TEST(SpanRing, PartialFill) {
   EXPECT_EQ(ring.size(), 1u);
   EXPECT_EQ(ring.evicted(), 0u);
   EXPECT_EQ(std::vector<trace::TraceSpan>(ring.begin(), ring.end()).size(), 1u);
+}
+
+TEST(Tracer, RejectsAZeroRingCapacity) {
+  trace::TraceConfig config;
+  config.ring_capacity = 0;
+  EXPECT_THROW(trace::Tracer{config}, std::invalid_argument);
+  routing::OverlayConfig overlay;
+  overlay.trace.enabled = true;
+  overlay.trace.ring_capacity = 0;
+  EXPECT_THROW(routing::Overlay{overlay}, std::invalid_argument);
 }
 
 TEST(Tracer, SamplingIsPureAndPeriodic) {

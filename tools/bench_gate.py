@@ -45,17 +45,12 @@ import json
 import os
 import sys
 
-# The conservation ledger's reasons (health::ShedReason, in ledger order).
-# bench_overload writes one count per reason as "shed_" + the reason's
-# label with spaces as underscores.
-SHED_REASONS = ("link_queue_full", "grace_pen_evicted",
-                "quarantine_pen_evicted", "stall_inbox_evicted",
-                "durable_buffer_evicted")
-
 # One gate rule: how a metric at `path` may move between baseline and
 # current. `direction` is which way is BAD for the metric; `rel` is the
 # allowed relative slip, `abs_slack` an additive floor so near-zero
-# baselines (allocs/event ~0.06) don't turn noise into failures.
+# baselines (allocs/event ~0.06) don't turn noise into failures. A rule
+# with `prefix` instead of `metric` gates every metric of the baseline
+# whose name starts with it.
 RULES = {
     "BENCH_hotpath.json": [
         dict(key="arms", match=("name",), metric="events_per_sec",
@@ -137,12 +132,13 @@ RULES = {
         # leaking its backlog blows well past this.
         dict(key="arms", match=("multiplier",), metric="peak_rss_kb",
              direction="higher", rel=0.25, abs_slack=10240.0),
-    ] + [
-        # Each reason's share of the total is deterministic too: a drop
-        # that moves between reasons fails even when total_shed holds.
-        dict(key="arms", match=("multiplier",), metric="shed_" + reason,
-             direction="exact", rel=0.0, abs_slack=0.0)
-        for reason in SHED_REASONS
+        # bench_overload writes one "shed_<reason>" count per
+        # health::ShedReason; each reason's share of the total is
+        # deterministic too, so a drop that moves between reasons fails
+        # even when total_shed holds. A reason added later is gated as
+        # soon as the baseline has it.
+        dict(key="arms", match=("multiplier",), prefix="shed_",
+             direction="exact", rel=0.0, abs_slack=0.0),
     ],
     "BENCH_index.json": [
         # A4 range-heavy arms as Google Benchmark writes them: one entry per
@@ -206,6 +202,20 @@ def index_arms(arms, match_keys):
     return {tuple(arm.get(k) for k in match_keys): arm for arm in arms}
 
 
+def compare_metrics(rule, label, base, cur):
+    """Yields (ok, message) for each metric `rule` gates in one node."""
+    if "prefix" in rule:
+        metrics = sorted(m for m in base if m.startswith(rule["prefix"]))
+    else:
+        metrics = [rule["metric"]] if rule["metric"] in base else []
+    for metric in metrics:
+        if metric not in cur:
+            yield False, "%s %s: metric disappeared" % (label, metric)
+            continue
+        yield check_value(dict(rule, metric=metric), label, base[metric],
+                          cur[metric])
+
+
 def compare_file(name, baseline, current):
     """Yields (ok, message) for every applicable rule of one artifact."""
     for rule in RULES[name]:
@@ -227,20 +237,14 @@ def compare_file(name, baseline, current):
                 if cur_arm is None:
                     if key in RETIRED_ARMS.get(name, ()):
                         yield True, "%s %s: arm retired" % (
-                            label, rule["metric"])
+                            label, rule.get("metric", rule.get("prefix")))
                     else:
                         yield False, "%s: arm disappeared" % label
                     continue
-                if rule["metric"] not in base_arm:
-                    continue
-                yield check_value(rule, label, base_arm[rule["metric"]],
-                                  cur_arm[rule["metric"]])
+                yield from compare_metrics(rule, label, base_arm, cur_arm)
         else:
-            if rule["metric"] not in node_base:
-                continue
-            yield check_value(rule, "%s %s" % (name, rule["key"]),
-                              node_base[rule["metric"]],
-                              node_cur[rule["metric"]])
+            yield from compare_metrics(rule, "%s %s" % (name, rule["key"]),
+                                       node_base, node_cur)
 
 
 def run_gate(baseline_dir, current_dir, report_path=None):
@@ -424,6 +428,16 @@ def selftest():
         ("overload drop moving between reasons fails",
          not all(overload_verdicts(shed_quarantine_pen_evicted=29,
                                    shed_stall_inbox_evicted=21))),
+        ("overload drop under a reason the gate never named fails",
+         not all(ok for ok, _ in compare_file(
+             "BENCH_overload.json",
+             {"arms": [dict(overload["arms"][0], shed_new_reason=5)]},
+             {"arms": [dict(overload["arms"][0], shed_new_reason=4)]}))),
+        ("overload per-reason count vanishing from the run fails",
+         not all(ok for ok, _ in compare_file(
+             "BENCH_overload.json", overload,
+             {"arms": [{k: v for k, v in overload["arms"][0].items()
+                        if k != "shed_stall_inbox_evicted"}]}))),
         ("overload baseline without per-reason counts skips them",
          all(ok for ok, _ in compare_file(
              "BENCH_overload.json",
