@@ -61,7 +61,7 @@ struct ScalingArm {
   double churn_ops_per_sec = 0.0;
   std::uint64_t deliveries = 0;     ///< Σ matched ids over the probe set
   std::uint64_t superset_violations = 0;
-  index::AggregateStats agg;        ///< aggregated arms only
+  index::AggregateStats agg{};      ///< aggregated arms only
 };
 
 // One engine's pair of arms: the same Zipf-covered population into an

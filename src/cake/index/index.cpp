@@ -97,13 +97,36 @@ std::optional<double> numeric_bound(const filter::AttributeConstraint& c) noexce
   }
 }
 
+// Raises `span` to at least `limit - key`, rounded up, so a window holding
+// at x still has key ≥ x - span once x - span is rounded to nearest
+// (rounding is monotone). NaN, from [inf, inf] or [-inf, -inf], never
+// raises it: those windows hold only at x == key.
+void widen(double& span, double key, double limit) noexcept {
+  const double s =
+      std::nextafter(limit - key, std::numeric_limits<double>::infinity());
+  if (s > span) span = s;
+}
+
 }  // namespace
+
+struct CountingIndex::Pass {
+  MatchScratch::CountingState& state;
+  const std::vector<symbol::Id>& types;  // event type, then its ancestors
+  std::vector<FilterId>& out;
+
+  [[nodiscard]] bool accepts(TypeTest test) const noexcept {
+    if (test.symbol == 0) return true;
+    if (!test.subtree) return test.symbol == types.front();
+    return std::find(types.begin(), types.end(), test.symbol) != types.end();
+  }
+};
 
 void CountingIndex::RangeList::insert(const Range& range) {
   tail.push_back(range);
   if (tail.size() <= kRangeTail) return;
   const auto by_key = [](const Range& a, const Range& b) { return a.key < b.key; };
   std::sort(tail.begin(), tail.end(), by_key);
+  for (const Range& r : tail) widen(span, r.key, r.limit);
   const std::size_t sorted = run.size();
   run.insert(run.end(), tail.begin(), tail.end());
   std::inplace_merge(run.begin(), run.begin() + static_cast<std::ptrdiff_t>(sorted),
@@ -111,18 +134,19 @@ void CountingIndex::RangeList::insert(const Range& range) {
   tail.clear();
 }
 
+template <class Dead>
+void CountingIndex::RangeList::sweep(const Dead& dead) {
+  const auto dead_range = [&dead](const Range& r) { return dead(r.id); };
+  std::erase_if(run, dead_range);
+  std::erase_if(tail, dead_range);
+  span = 0;
+  for (const Range& r : run) widen(span, r.key, r.limit);
+}
+
 FilterId CountingIndex::add(filter::ConjunctiveFilter filter) {
   const FilterId id = filters_.size();
   std::uint32_t required = 0;
 
-  const auto& type = filter.type();
-  if (!type.accepts_all()) {
-    ++required;
-    const symbol::Id type_id = symbol::intern(type.name).id;
-    auto& bucket = type.include_subtypes ? subtree_type_[type_id]
-                                         : exact_type_[type_id];
-    bucket.push_back(id);
-  }
   const auto& constraints = filter.constraints();
   for (std::size_t i = 0; i < constraints.size(); ++i) {
     const auto& constraint = constraints[i];
@@ -150,7 +174,7 @@ FilterId CountingIndex::add(filter::ConjunctiveFilter filter) {
       const std::optional<double> end = numeric_bound(next);
       if (end && !std::isnan(*end) && is_lower(next.op) != lower &&
           next.name == constraint.name) {
-        attr_index.lower.insert(
+        attr_index.windows.insert(
             lower ? Range{*bound, *end, id, strict, is_strict(next.op)}
                   : Range{*end, *bound, id, is_strict(next.op), strict});
         ++i;
@@ -163,9 +187,23 @@ FilterId CountingIndex::add(filter::ConjunctiveFilter filter) {
       attr_index.upper.insert({.key = -*bound, .id = id, .key_strict = strict});
   }
 
+  const auto& type = filter.type();
+  TypeTest test;
+  if (!type.accepts_all())
+    test = {symbol::intern(type.name).id, type.include_subtypes};
+  if (required == 0) {
+    if (test.symbol == 0) {
+      accept_all_.push_back(id);
+    } else {
+      // Type-only: the bucket lookup is the whole test.
+      (test.subtree ? subtree_type_ : exact_type_)[test.symbol].push_back(id);
+      required = 1;
+    }
+  }
+
   filters_.push_back(std::move(filter));
   required_.push_back(required);
-  if (required == 0) accept_all_.push_back(id);
+  type_tests_.push_back(test);
   ++live_;
   return id;
 }
@@ -180,7 +218,6 @@ void CountingIndex::remove(FilterId id) {
 
 void CountingIndex::sweep() {
   const auto dead = [this](FilterId id) { return required_[id] == kDead; };
-  const auto dead_range = [&dead](const Range& r) { return dead(r.id); };
   // Sweeps every id list of `table`, dropping buckets left empty.
   const auto sweep_ids = [&dead](auto& table) {
     for (auto it = table.begin(); it != table.end();) {
@@ -195,13 +232,12 @@ void CountingIndex::sweep() {
   for (auto it = by_attribute_.begin(); it != by_attribute_.end();) {
     AttrIndex& index = it->second;
     sweep_ids(index.equals);
-    for (RangeList* list : {&index.lower, &index.upper}) {
-      std::erase_if(list->run, dead_range);
-      std::erase_if(list->tail, dead_range);
-    }
+    for (RangeList* list : {&index.lower, &index.windows, &index.upper})
+      list->sweep(dead);
     std::erase_if(index.other, [&dead](const Scan& s) { return dead(s.id); });
     const bool empty = index.equals.empty() && index.lower.size() == 0 &&
-                       index.upper.size() == 0 && index.other.empty();
+                       index.windows.size() == 0 && index.upper.size() == 0 &&
+                       index.other.empty();
     it = empty ? by_attribute_.erase(it) : std::next(it);
   }
   // Release the removed filters' storage in one batch: their memory is
@@ -219,68 +255,79 @@ std::size_t CountingIndex::slot_count() const noexcept {
   };
   std::size_t slots = accept_all_.size() + ids(exact_type_) + ids(subtree_type_);
   for (const auto& [attr, index] : by_attribute_) {
-    slots += ids(index.equals) + index.lower.size() + index.upper.size() +
-             index.other.size();
+    slots += ids(index.equals) + index.lower.size() + index.windows.size() +
+             index.upper.size() + index.other.size();
   }
   return slots;
 }
 
-void CountingIndex::bump(FilterId id, std::vector<FilterId>& out,
-                         MatchScratch::CountingState& state) const {
-  MatchScratch::CountingState::Slot& slot = state.slots[id];
-  if (slot.stamp != state.epoch) {
-    slot.stamp = state.epoch;
+void CountingIndex::bump(FilterId id, Pass& pass) const {
+  MatchScratch::CountingState::Slot& slot = pass.state.slots[id];
+  if (slot.stamp != pass.state.epoch) {
+    slot.stamp = pass.state.epoch;
     slot.count = 0;
   }
-  if (++slot.count == required_[id]) out.push_back(id);
+  if (++slot.count == required_[id] && pass.accepts(type_tests_[id]))
+    pass.out.push_back(id);
 }
 
-void CountingIndex::bump_ranges(const RangeList& list, double x,
-                                std::vector<FilterId>& out,
-                                MatchScratch::CountingState& state) const {
+void CountingIndex::bump_bounds(const RangeList& list, double x, Pass& pass) const {
+  // Every bound before the first key above x holds, bar a strict one at x.
+  for (const Range& r : list.run) {
+    if (r.key > x) break;
+    if (r.key < x || !r.key_strict) bump(r.id, pass);
+  }
+  for (const Range& r : list.tail)
+    if (r.key < x || (r.key == x && !r.key_strict)) bump(r.id, pass);
+}
+
+void CountingIndex::bump_windows(const RangeList& list, double x, Pass& pass) const {
   const auto holds = [x](const Range& r) {
     return (r.key < x || (r.key == x && !r.key_strict)) &&
            (x < r.limit || (x == r.limit && !r.limit_strict));
   };
-  for (const Range& r : list.run) {
-    if (r.key > x) break;  // sorted by key: no later range holds
-    if (holds(r)) bump(r.id, out, state);
-  }
+  // No window of the run starting below x - span reaches x. A NaN start
+  // (x and the span both infinite) compares false and scans from the front.
+  const double from = x - list.span;
+  const auto first = std::partition_point(
+      list.run.begin(), list.run.end(), [from](const Range& r) { return r.key < from; });
+  for (auto it = first; it != list.run.end() && it->key <= x; ++it)
+    if (holds(*it)) bump(it->id, pass);
   for (const Range& r : list.tail)
-    if (holds(r)) bump(r.id, out, state);
+    if (holds(r)) bump(r.id, pass);
 }
 
 void CountingIndex::match(const event::EventImage& image,
                           std::vector<FilterId>& out,
                           MatchScratch& scratch) const {
   out.clear();
-  MatchScratch::CountingState& state =
-      scratch.counting_for(this, required_.size());
-  ++state.epoch;
+  // The event's type, then every registered ancestor: the symbols a type
+  // test can name and still hold. All lookups are by interned symbol id —
+  // integer hashes, no strings. An unregistered type has no ancestors, but
+  // a subtree rooted at exactly its name still matches (conformance is
+  // reflexive).
+  std::vector<symbol::Id>& types = scratch.types_;
+  types.assign(1, image.type_id());
+  if (const reflect::TypeInfo* type = registry_.find(image.type_id()))
+    for (const reflect::TypeInfo* anc = type->parent(); anc != nullptr;
+         anc = anc->parent())
+      types.push_back(anc->symbol().id);
+  Pass pass{scratch.counting_for(this, required_.size()), types, out};
+  ++pass.state.epoch;
 
-  // Filters with no non-trivial predicate match everything.
-  for (const FilterId id : accept_all_)
-    if (required_[id] != kDead) out.push_back(id);
-
-  // Type predicates: exact name, then every registered ancestor's subtree.
-  // All lookups are by interned symbol id — integer hashes, no strings.
-  if (const auto exact = exact_type_.find(image.type_id());
-      exact != exact_type_.end()) {
-    for (const FilterId id : exact->second) bump(id, out, state);
-  }
-  const reflect::TypeInfo* type = registry_.find(image.type_id());
-  if (type != nullptr) {
-    for (const reflect::TypeInfo* anc = type; anc != nullptr; anc = anc->parent()) {
-      if (const auto it = subtree_type_.find(anc->symbol().id);
-          it != subtree_type_.end())
-        for (const FilterId id : it->second) bump(id, out, state);
-    }
-  } else if (const auto it = subtree_type_.find(image.type_id());
-             it != subtree_type_.end()) {
-    // Unregistered event type: a subtree rooted at exactly this name still
-    // matches (conformance is reflexive).
-    for (const FilterId id : it->second) bump(id, out, state);
-  }
+  const auto push_live = [this, &out](const std::vector<FilterId>& ids) {
+    for (const FilterId id : ids)
+      if (required_[id] != kDead) out.push_back(id);
+  };
+  // Filters with no non-trivial predicate match everything; type-only ones
+  // match when their bucket is the event's type or, subtype-inclusive, any
+  // of its ancestors.
+  push_live(accept_all_);
+  if (const auto it = exact_type_.find(types.front()); it != exact_type_.end())
+    push_live(it->second);
+  for (const symbol::Id type : types)
+    if (const auto it = subtree_type_.find(type); it != subtree_type_.end())
+      push_live(it->second);
 
   // Attribute predicates.
   for (const auto& attr : image.attributes()) {
@@ -289,17 +336,18 @@ void CountingIndex::match(const event::EventImage& image,
     const AttrIndex& attr_index = it->second;
     if (const auto eq = attr_index.equals.find(attr.value);
         eq != attr_index.equals.end()) {
-      for (const FilterId id : eq->second) bump(id, out, state);
+      for (const FilterId id : eq->second) bump(id, pass);
     }
     // Numeric bounds hold only for numeric values, and never for NaN
     // (Value::compare).
     if (const std::optional<double> x = attr.value.as_number();
         x && !std::isnan(*x)) {
-      bump_ranges(attr_index.lower, *x, out, state);
-      bump_ranges(attr_index.upper, -*x, out, state);
+      bump_bounds(attr_index.lower, *x, pass);
+      bump_windows(attr_index.windows, *x, pass);
+      bump_bounds(attr_index.upper, -*x, pass);
     }
     for (const Scan& scan : attr_index.other) {
-      if (applies(scan.op, attr.value, scan.operand)) bump(scan.id, out, state);
+      if (applies(scan.op, attr.value, scan.operand)) bump(scan.id, pass);
     }
   }
 }
@@ -309,8 +357,7 @@ const filter::ConjunctiveFilter* CountingIndex::find(FilterId id) const noexcept
   return &filters_[id];
 }
 
-FilterId TrieIndex::add(filter::ConjunctiveFilter filter) {
-  const FilterId id = entries_.size();
+std::size_t TrieIndex::insert_path(const filter::ConjunctiveFilter& filter) {
   std::size_t node = 0;  // root
   for (const auto& constraint : filter.constraints()) {
     if (constraint.op != filter::Op::Eq) continue;  // residual-checked later
@@ -325,8 +372,13 @@ FilterId TrieIndex::add(filter::ConjunctiveFilter filter) {
       node = child;
     }
   }
-  nodes_[node].terminal.push_back(id);
-  entries_.push_back(Entry{std::move(filter), node, true});
+  return node;
+}
+
+FilterId TrieIndex::add(filter::ConjunctiveFilter filter) {
+  const FilterId id = entries_.size();
+  nodes_[insert_path(filter)].terminal.push_back(id);
+  entries_.push_back(Entry{std::move(filter), true});
   ++live_;
   return id;
 }
@@ -340,20 +392,18 @@ void TrieIndex::remove(FilterId id) {
 }
 
 void TrieIndex::sweep() {
-  // Only the nodes that held a removed id need a pass.
-  std::vector<std::size_t> nodes;
-  nodes.reserve(removed_.size());
-  for (const FilterId id : removed_) {
-    nodes.push_back(entries_[id].node);
+  for (const FilterId id : removed_)
     (void)std::exchange(entries_[id].filter, filter::ConjunctiveFilter{});
-  }
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  for (const std::size_t node : nodes) {
-    std::erase_if(nodes_[node].terminal,
-                  [this](FilterId id) { return !entries_[id].alive; });
-  }
   removed_.clear();
+  // Rebuild the tree from the live filters alone, found on the old tree's
+  // terminal lists: paths only removed filters used go with them, so the
+  // tree never outgrows the table, and the pass is linear in the old tree.
+  const std::vector<Node> old = std::exchange(nodes_, std::vector<Node>(1));
+  for (const Node& node : old) {
+    for (const FilterId id : node.terminal)
+      if (entries_[id].alive)
+        nodes_[insert_path(entries_[id].filter)].terminal.push_back(id);
+  }
 }
 
 void TrieIndex::match_node(std::size_t node_index, const event::EventImage& image,

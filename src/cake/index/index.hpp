@@ -65,6 +65,8 @@ private:
   CountingState& counting_for(const void* owner, std::size_t filters);
 
   std::unordered_map<const void*, CountingState> counting_;
+  // CountingIndex: the event's type symbol, then its registered ancestors'.
+  std::vector<symbol::Id> types_;
   std::vector<FilterId> shard_ids_;  // ShardedIndex: inner-id buffer
   std::vector<FilterId> agg_ids_;    // AggregatedIndex: group-rep id buffer
 };
@@ -137,13 +139,17 @@ private:
 };
 
 /// Predicate-counting matcher. Per attribute, equality constraints sit in
-/// a hash index and numeric ranges in two lists ordered by operand, so a
-/// match visits only the predicates the event satisfies (plus a short
-/// unsorted insert tail); the other operators (Ne, Prefix, Regex, Exists,
-/// string and bool ranges) sit on a per-attribute scan list. Removed
-/// filters are swept out of every list, and their storage released, once
-/// they pass a fixed share of the live ones (amortized O(1) per remove);
-/// ids never move.
+/// a hash index and numeric ranges in three lists ordered by operand (lone
+/// lower bounds, windows, lone upper bounds), so a match visits only the
+/// predicates the event satisfies, plus the windows that start within the
+/// widest window span below the value and a short unsorted insert tail;
+/// the other operators (Ne, Prefix, Regex, Exists, string and bool ranges)
+/// sit on a per-attribute scan list. A filter's type test is not counted:
+/// it is checked once its attribute predicates are all hit, against the
+/// event's type and ancestors. Only filters with no attribute predicate sit
+/// in per-type buckets. Removed filters are swept out of every list, and
+/// their storage released, once they pass a fixed share of the live ones
+/// (amortized O(1) per remove); ids never move.
 class CountingIndex final : public MatchIndex {
 public:
   explicit CountingIndex(const reflect::TypeRegistry& registry) : registry_(registry) {}
@@ -174,14 +180,21 @@ private:
     bool key_strict = false;    // fails at x == key (Gt, or Lt negated)
     bool limit_strict = false;  // fails at x == limit (Lt)
   };
-  /// Ranges of one direction on one attribute. `run` is sorted by key, so
-  /// the ranges whose key holds are a prefix of it; `tail` takes inserts
+  /// Ranges of one kind on one attribute. `run` is sorted by key, so the
+  /// ranges whose key holds are a prefix of it; `tail` takes inserts
   /// unsorted, is scanned in full, and is merged into `run` once full.
   struct RangeList {
     std::vector<Range> run;
     std::vector<Range> tail;
+    // Widest `limit - key` in `run`, rounded up, so no range of `run` holds
+    // at x unless its key is at least x - span. Windows search from there;
+    // for lone bounds, whose limit is open, it is infinite and unused.
+    double span = 0;
 
     void insert(const Range& range);
+    /// Drops the ranges of removed filters and recomputes `span`.
+    template <class Dead>
+    void sweep(const Dead& dead);
     [[nodiscard]] std::size_t size() const noexcept {
       return run.size() + tail.size();
     }
@@ -195,35 +208,46 @@ private:
   struct AttrIndex {
     // value -> filter ids with (attr == value)
     std::unordered_map<value::Value, std::vector<FilterId>> equals;
-    RangeList lower;  // lower bounds and windows, on x
-    RangeList upper;  // lone upper bounds, on -x
+    RangeList lower;    // lone lower bounds, on x
+    RangeList windows;  // windows, on x
+    RangeList upper;    // lone upper bounds, on -x
     std::vector<Scan> other;
   };
+
+  /// The type test of a filter, checked only once its count completes.
+  /// Symbol 0 is the empty name, which accepts every type.
+  struct TypeTest {
+    symbol::Id symbol = 0;
+    bool subtree = false;  // subtype-inclusive
+  };
+  /// One match's working set.
+  struct Pass;
 
   // required_[id] for a removed filter: no count ever reaches it.
   static constexpr std::uint32_t kDead = std::numeric_limits<std::uint32_t>::max();
 
-  void bump(FilterId id, std::vector<FilterId>& out,
-            MatchScratch::CountingState& state) const;
-  void bump_ranges(const RangeList& list, double x, std::vector<FilterId>& out,
-                   MatchScratch::CountingState& state) const;
+  void bump(FilterId id, Pass& pass) const;
+  void bump_bounds(const RangeList& list, double x, Pass& pass) const;
+  void bump_windows(const RangeList& list, double x, Pass& pass) const;
   void sweep();
 
   const reflect::TypeRegistry& registry_;
   std::vector<filter::ConjunctiveFilter> filters_;  // by id
-  // Index entries (the type test, each non-wildcard constraint, a window
-  // counting once) each filter must hit, or kDead. Kept apart from the
-  // filters so the counting pass reads four bytes per candidate.
+  // Attribute index entries (each non-wildcard constraint, a window
+  // counting once) each filter must hit, or kDead; 1 for a type-only
+  // filter. Kept apart from the filters so the counting pass reads four
+  // bytes per candidate.
   std::vector<std::uint32_t> required_;
+  std::vector<TypeTest> type_tests_;  // by id
   std::size_t live_ = 0;
   std::vector<FilterId> removed_;  // dead ids the next sweep drops and frees
   std::vector<FilterId> accept_all_;  // filters with no predicate at all
   // All three tables key by interned symbol id: the match loop hashes one
   // u32 per attribute instead of a string (DESIGN.md §9).
   std::unordered_map<symbol::Id, AttrIndex> by_attribute_;
-  // type-name symbol -> ids of filters with an exact type test on it
+  // Filters whose only predicate is their type test, by type-name symbol:
+  // exact tests on it, and subtype-inclusive ones rooted at it.
   std::unordered_map<symbol::Id, std::vector<FilterId>> exact_type_;
-  // type-name symbol -> ids of subtype-inclusive filters rooted at it
   std::unordered_map<symbol::Id, std::vector<FilterId>> subtree_type_;
 };
 
@@ -272,10 +296,11 @@ private:
   };
   struct Entry {
     filter::ConjunctiveFilter filter;
-    std::size_t node = 0;  // whose terminal list holds the id
     bool alive = true;
   };
 
+  /// The node ending `filter`'s equality path, creating missing nodes.
+  std::size_t insert_path(const filter::ConjunctiveFilter& filter);
   void match_node(std::size_t node_index, const event::EventImage& image,
                   std::vector<FilterId>& out) const;
   void sweep();
@@ -284,8 +309,9 @@ private:
   std::vector<Node> nodes_{1};  // nodes_[0] is the root
   std::vector<Entry> entries_;
   std::size_t live_ = 0;
-  // Dead ids still on terminal lists and holding their filter; swept out
-  // and released once they pass a fixed share of the live filters.
+  // Dead ids still on terminal lists and holding their filter; once they
+  // pass a fixed share of the live filters they are released and the tree
+  // is rebuilt from the live ones.
   std::vector<FilterId> removed_;
 };
 

@@ -126,9 +126,11 @@ struct Interner {
   }
 };
 
+// Never destroyed: entries must outlive every static that holds a Symbol,
+// and the chunks reachable only through the interner stay reachable at exit.
 Interner& table() {
-  static Interner instance;
-  return instance;
+  static Interner* const instance = new Interner;
+  return *instance;
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "cake/index/sharded.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "cake/event/event.hpp"
@@ -226,6 +227,23 @@ TEST_P(IndexTest, WindowsInEitherOrderAndWithAThirdBound) {
   EXPECT_TRUE(match(priced(Value{10.5})).empty());
 }
 
+// Enough identical windows that most are merged into the sorted run, each
+// spanning 2^53 + 1, which rounds down to 2^53 as a double: the event at
+// the window's upper edge still finds them all.
+TEST_P(IndexTest, WindowsWhoseSpanRoundsDownStillHoldAtTheirLimit) {
+  const double top = 9007199254740994.0;  // 2^53 + 2
+  std::vector<FilterId> ids;
+  for (int i = 0; i < 40; ++i) {
+    ids.push_back(index_->add(FilterBuilder{"Stock"}
+                                  .where("price", Op::Ge, Value{1})
+                                  .where("price", Op::Le, Value{top})
+                                  .build()));
+  }
+  EXPECT_EQ(match(priced(Value{top})), ids);
+  EXPECT_EQ(match(priced(Value{1})), ids);
+  EXPECT_TRUE(match(priced(Value{0.5})).empty());
+}
+
 INSTANTIATE_TEST_SUITE_P(Engines, IndexTest,
                          ::testing::Values(Engine::Naive, Engine::Counting,
                                            Engine::Trie,
@@ -267,6 +285,34 @@ TEST(TrieStructure, NonEqualityFiltersTerminateAtTheSharedPrefix) {
   EXPECT_EQ(out, std::vector<FilterId>{id});
   trie.match(event::image_of(Stock{"Foo", 15.0, 1}), out);
   EXPECT_TRUE(out.empty());
+}
+
+// Removing filters rebuilds the tree from the live ones: paths only removed
+// filters used do not outlive them.
+TEST(TrieStructure, NodesShrinkBackUnderChurn) {
+  workload::ensure_types_registered();
+  TrieIndex trie{reflect::TypeRegistry::global()};
+  std::vector<FilterId> live;
+  const auto add = [&trie, &live](int i) {
+    live.push_back(trie.add(FilterBuilder{"Stock"}
+                                .where("symbol", Op::Eq, Value{"s" + std::to_string(i)})
+                                .where("volume", Op::Eq, Value{i})
+                                .build()));
+  };
+  for (int i = 0; i < 100; ++i) add(i);
+  for (int i = 100; i < 5000; ++i) {
+    trie.remove(live.front());
+    live.erase(live.begin());
+    add(i);
+  }
+  // 100 live two-edge paths, plus at most the dead ones not yet swept.
+  EXPECT_LE(trie.node_count(), 1u + 2 * (100 + 50));
+  std::vector<FilterId> out;
+  trie.match(event::image_of(Stock{"s4999", 1.0, 4999}), out);
+  EXPECT_EQ(out, std::vector<FilterId>{live.back()});
+  for (const FilterId id : live) trie.remove(id);
+  EXPECT_EQ(trie.size(), 0u);
+  EXPECT_EQ(trie.node_count(), 1u);
 }
 
 // Oracle property: both engines agree on thousands of random
@@ -423,13 +469,147 @@ TEST(IndexOracle, RangeHeavyChurnAgreesWithNaive) {
   }
 }
 
+// Differential: the counting index reports exactly the naive table's ids
+// on every event, under enough add/remove churn to sweep many times. The
+// population mixes every type-test shape (exact, subtype-inclusive,
+// type-only, accept-all, unregistered names) with windows of mixed spans
+// (including [x, x] and one window wider than all others that is removed
+// half-way), lone bounds with strict and non-strict edges, int and double
+// operands, equality, and NaN operands; events carry NaN, non-numeric and
+// missing values and unregistered types.
+TEST(IndexOracle, CountingAgreesWithNaiveOnTypesAndWindowsUnderChurn) {
+  workload::ensure_types_registered();
+  util::Rng rng{2718};
+  const auto& registry = reflect::TypeRegistry::global();
+  NaiveTable naive{registry};
+  CountingIndex counting{registry};
+
+  const char* const types[] = {"Stock", "Auction", "VehicleAuction",
+                               "CarAuction", "Ghost"};
+  const char* const attrs[] = {"price", "qty"};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto pick_type = [&]() -> const char* {
+    return types[rng.below(std::size(types))];
+  };
+  const auto number = [&rng](double v) {
+    return rng.chance(0.5) && v == std::floor(v)
+               ? Value{static_cast<std::int64_t>(v)}
+               : Value{v};
+  };
+  const auto lower = [&rng] { return rng.chance(0.5) ? Op::Ge : Op::Gt; };
+  const auto upper = [&rng] { return rng.chance(0.5) ? Op::Le : Op::Lt; };
+  const auto add_constraint = [&](FilterBuilder& builder) {
+    const char* attr = attrs[rng.below(std::size(attrs))];
+    const double lo = static_cast<double>(rng.below(60)) - 10.0;
+    switch (rng.below(7)) {
+      case 0:
+      case 1: {  // window, either end first; spans 0 ([x, x]) to 40
+        const double spans[] = {0.0, 0.5, 1.0, 3.0, 8.0, 40.0};
+        const double hi = lo + spans[rng.below(std::size(spans))];
+        const Op lo_op = hi == lo ? Op::Ge : lower();
+        const Op hi_op = hi == lo ? Op::Le : upper();
+        if (rng.chance(0.5))
+          builder.where(attr, lo_op, number(lo)).where(attr, hi_op, number(hi));
+        else
+          builder.where(attr, hi_op, number(hi)).where(attr, lo_op, number(lo));
+        break;
+      }
+      case 2: builder.where(attr, lower(), number(lo)); break;
+      case 3: builder.where(attr, upper(), number(lo)); break;
+      case 4: builder.where(attr, Op::Eq, number(lo)); break;
+      case 5: builder.where(attr, rng.chance(0.5) ? lower() : upper(), Value{nan}); break;
+      case 6: builder.where(attr, Op::Ge, number(lo + 0.5)); break;
+    }
+  };
+  const auto next_filter = [&] {
+    switch (rng.below(8)) {
+      case 0: return FilterBuilder{}.build();  // accept-all
+      case 1: return FilterBuilder{pick_type(), rng.chance(0.5)}.build();
+      case 2: {  // no type test, attribute predicates only
+        FilterBuilder builder;
+        add_constraint(builder);
+        return builder.build();
+      }
+      default: {
+        FilterBuilder builder{pick_type(), rng.chance(0.5)};
+        const std::uint64_t n = 1 + rng.below(2);
+        for (std::uint64_t i = 0; i < n; ++i) add_constraint(builder);
+        return builder.build();
+      }
+    }
+  };
+
+  std::vector<FilterId> live;
+  const auto add = [&](const ConjunctiveFilter& f) {
+    const FilterId id = naive.add(f);
+    ASSERT_EQ(counting.add(f), id);
+    live.push_back(id);
+  };
+  for (int i = 0; i < 250; ++i) add(next_filter());
+  // One window far wider than the rest, so every window search reaches
+  // back to the front of the run until it is removed.
+  const ConjunctiveFilter wide_window = FilterBuilder{"Auction", true}
+                                            .where("price", Op::Ge, Value{-1e6})
+                                            .where("price", Op::Lt, Value{1e6})
+                                            .build();
+  const FilterId wide = naive.add(wide_window);
+  ASSERT_EQ(counting.add(wide_window), wide);
+
+  const auto event = [&] {
+    const char* const event_types[] = {"Stock", "Auction", "VehicleAuction",
+                                       "CarAuction", "Ghost", "Phantom"};
+    std::vector<event::ImageAttribute> attributes;
+    for (const char* attr : attrs) {
+      switch (rng.below(6)) {
+        case 0: break;  // attribute missing
+        case 1: attributes.push_back({attr, Value{nan}}); break;
+        case 2: attributes.push_back({attr, Value{"text"}}); break;
+        default: {
+          const double v = static_cast<double>(rng.below(120)) / 2.0 - 10.0;
+          attributes.push_back({attr, number(v)});
+        }
+      }
+    }
+    return EventImage{event_types[rng.below(std::size(event_types))],
+                      std::move(attributes)};
+  };
+
+  std::vector<FilterId> expected, got;
+  constexpr int kBatches = 60, kReplacesPerBatch = 50, kEventsPerBatch = 40;
+  for (int batch = 0; batch < kBatches; ++batch) {
+    if (batch == kBatches / 2) {
+      naive.remove(wide);
+      counting.remove(wide);
+    }
+    for (int r = 0; r < kReplacesPerBatch; ++r) {
+      const std::size_t victim = rng.below(live.size());
+      naive.remove(live[victim]);
+      counting.remove(live[victim]);
+      live[victim] = live.back();
+      live.pop_back();
+      add(next_filter());
+    }
+    ASSERT_EQ(counting.size(), naive.size());
+    for (int e = 0; e < kEventsPerBatch; ++e) {
+      const EventImage image = event();
+      naive.match(image, expected);
+      counting.match(image, got);
+      std::sort(expected.begin(), expected.end());
+      std::sort(got.begin(), got.end());
+      ASSERT_EQ(got, expected) << "batch " << batch << " event "
+                               << image.to_string();
+    }
+  }
+}
+
 // Removed ids never make up more than half the live ones in the counting
 // index's candidate lists, whatever the removal order.
 TEST(CountingStructure, DeadSlotsStayBoundedUnderChurn) {
   workload::ensure_types_registered();
   util::Rng rng{99};
   CountingIndex index{reflect::TypeRegistry::global()};
-  // Each filter holds two slots: its type test and one price window.
+  // Each filter holds one slot, its price window: the type test is checked
+  // on completed candidates, not listed.
   const auto window = [&rng] {
     const double lo = static_cast<double>(rng.below(100));
     return FilterBuilder{"Stock"}
@@ -439,11 +619,11 @@ TEST(CountingStructure, DeadSlotsStayBoundedUnderChurn) {
   };
   std::vector<FilterId> live;
   for (int i = 0; i < 200; ++i) live.push_back(index.add(window()));
-  EXPECT_EQ(index.slot_count(), 2 * live.size());
+  EXPECT_EQ(index.slot_count(), live.size());
 
   const auto check_bounded = [&] {
     const std::size_t n = index.size();
-    ASSERT_LE(index.slot_count(), 2 * (n + n / 2)) << n << " live";
+    ASSERT_LE(index.slot_count(), n + n / 2) << n << " live";
   };
   for (int r = 0; r < 5000; ++r) {
     const std::size_t victim = rng.below(live.size());
